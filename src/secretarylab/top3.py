@@ -59,20 +59,37 @@ def top3_table(n: int) -> Top3Table:
     with g[j] = (1 - q(j)) / (j + 1), which a reversed cumulative sum
     evaluates in vectorised form (agrees with the sequential recurrence to
     ~1e-14 and reproduces its argmax).
+
+    The expressions are evaluated in place, in two work arrays beside the
+    result, to halve the peak memory at n = 1e7: a process building that
+    table peaks at about 270 MiB, against 570 MiB with a fresh temporary
+    per operation.  Each operation and its order are those of the plain
+    array expression, and every integer operand is exact, so the values
+    are the same bit for bit.
     """
     _check_n(n)
-    karr = np.arange(n, dtype=np.float64)
-    r = ((n - karr - 1.0) / n) * ((n - karr - 2.0) / (n - 1)) * ((n - karr - 3.0) / (n - 2))
-    r += 0.0
-    g = (1.0 - r) / (karr + 1.0)
-
-    terms = np.zeros(n)
-    terms[1:] = g[1:] / karr[1:]
-    tail = np.cumsum(terms[::-1])[::-1]
-
     prob = np.empty(n + 1)
-    prob[0] = g[0]
-    prob[1:n] = np.arange(1, n) * tail[1:]
+    tmp = prob[:n]                      # scratch until it takes the tail sums
+    d = np.arange(n, 0, -1, dtype=np.float64)  # n - k for k = 0..n-1
+    r = np.subtract(d, 1.0)
+    r /= n
+    np.subtract(d, 2.0, out=tmp)
+    tmp /= n - 1
+    r *= tmp
+    np.subtract(d, 3.0, out=tmp)
+    tmp /= n - 2
+    r *= tmp
+    r += 0.0                            # normalise -0.0 from the zero factor at the tail
+    g = np.subtract(1.0, r, out=r)
+    k1 = np.subtract(n + 1, d, out=d)   # k + 1
+    g /= k1
+
+    g0 = g[0]
+    g[0] = 0.0
+    g[1:] /= k1[:-1]                    # terms g[j] / j of the tail sums (k1[j-1] = j)
+    np.cumsum(g[::-1], out=tmp[::-1])
+    prob[1:n] *= k1[:-1]                # prob[k] = k * tail[k]
+    prob[0] = g0
     prob[n] = 0.0
 
     if not ((prob >= 0.0).all() and (prob <= 1.0).all()):

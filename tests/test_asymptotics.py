@@ -13,7 +13,72 @@ from secretarylab import (
     top3_limit_derivative,
     top3_table,
 )
+from secretarylab.cli import TABLE1_ROWS
 from secretarylab.errors import DomainError, SingularPoint
+
+
+def stagewise_rk4(p, step, epsilon):
+    """Classical RK4 stepped one stage at a time on the right-hand sides as
+    written out here, with the integrator's grid and anchors: a reference
+    for its affine-map evaluation.  Returns (phi, psi, upsilon) values."""
+    def rhs_phi(x, phi):
+        return ((1.0 - p) / x + p / ((1.0 + p) * (1.0 - x))) * phi \
+            - (p * x / ((1.0 + p) * (1.0 - x)) + (1.0 - p))
+
+    def rhs_psi(x, psi, phi):
+        return psi / x - (1.0 - p + (p / x) * phi)
+
+    def rhs_upsilon(x, u):
+        return -(1.0 / x + p / ((1.0 + p) * (1.0 - x))) * u + 1.0 / x
+
+    m = max(1, int(round((1.0 - 2.0 * epsilon) / step)))
+    grid = np.linspace(epsilon, 1.0 - epsilon, m + 1)
+    h = (1.0 - 2.0 * epsilon) / m
+    if p == 0.0:
+        x1 = 1.0 - epsilon
+        y1 = y2 = -x1 * math.log(x1)
+    else:
+        y1, y2 = p, 0.0
+    phi, psi, ups = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    phi[m], psi[m] = y1, y2
+    for i in range(m, 0, -1):
+        x = grid[i]
+        k1a = rhs_phi(x, y1)
+        k1b = rhs_psi(x, y2, y1)
+        xm = x - 0.5 * h
+        k2a = rhs_phi(xm, y1 - 0.5 * h * k1a)
+        k2b = rhs_psi(xm, y2 - 0.5 * h * k1b, y1 - 0.5 * h * k1a)
+        k3a = rhs_phi(xm, y1 - 0.5 * h * k2a)
+        k3b = rhs_psi(xm, y2 - 0.5 * h * k2b, y1 - 0.5 * h * k2a)
+        xe = x - h
+        k4a = rhs_phi(xe, y1 - h * k3a)
+        k4b = rhs_psi(xe, y2 - h * k3b, y1 - h * k3a)
+        y1 -= h / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y2 -= h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        phi[i - 1], psi[i - 1] = y1, y2
+    ups[0] = u = 1.0
+    for i in range(m):
+        x = grid[i]
+        k1 = rhs_upsilon(x, u)
+        k2 = rhs_upsilon(x + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs_upsilon(x + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs_upsilon(x + h, u + h * k3)
+        u += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ups[i + 1] = u
+    return phi, psi, ups
+
+
+@pytest.mark.parametrize("p", [p for p, _, _ in TABLE1_ROWS])
+@pytest.mark.parametrize(
+    "step,epsilon", [(1e-4, 1e-4), (1e-3, 1e-3), (1e-3, 1e-2), (0.01, 0.01), (0.005, 0.01)]
+)
+def test_affine_steps_match_stagewise_rk4(p, step, epsilon):
+    curves = integrate_limit_system(p, step=step, epsilon=epsilon)
+    phi, psi, ups = stagewise_rk4(p, step, epsilon)
+    f = ups * phi + (1.0 - ups) * psi
+    for curve, ref in zip(curves, (phi, psi, ups, f)):
+        assert np.max(np.abs(curve.values - ref)) <= 1e-13
+    assert np.argmax(curves[3].values) == np.argmax(f)
 
 
 def test_rhs_phi_hand_values():

@@ -211,3 +211,39 @@ def test_printed_tolerance():
     assert printed_tolerance("0.371") == pytest.approx(1e-3)
     assert printed_tolerance("0.6874") == pytest.approx(1e-4)
     assert printed_tolerance("0.59479") == pytest.approx(1e-5)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_rejects_seed_outside_philox_key(runner, seed):
+    result = runner.invoke(
+        main,
+        ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10",
+         "--seed", seed],
+    )
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+
+
+def test_simulate_accepts_largest_seed(runner):
+    rec = run_json(
+        runner,
+        ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10",
+         "--seed", str(2**128 - 1)],
+    )
+    assert rec["parameters"]["seed"] == 2**128 - 1
+
+
+def test_simulate_top3_rejects_p(runner):
+    result = runner.invoke(
+        main,
+        ["simulate", "--model", "top3", "--n", "20", "--p", "0.5", "--k", "5",
+         "--trials", "10"],
+    )
+    assert result.exit_code == 2
+    assert "--p" in result.output
+
+
+def test_curve_rejects_negative_precision(runner):
+    result = runner.invoke(main, ["curve", "--model", "top3", "--n", "10", "--precision", "-1"])
+    assert result.exit_code == 2
+    assert "--precision" in result.output

@@ -9,6 +9,7 @@ from secretarylab import (
     optimal_policy,
     success_probability,
 )
+from secretarylab.cli import TABLE1_ROWS
 from secretarylab.errors import IndexOutOfRange, InvalidSpec
 
 
@@ -18,6 +19,45 @@ def classical_f(n):
     for k in range(n - 1, 0, -1):
         f[k] = 1.0 / n + k / (k + 1) * f[k + 1]
     return f
+
+
+def sequential_tables(n, p):
+    """The phi/psi/upsilon recurrences stepped one k at a time, as a reference
+    for the closed forms build_tables evaluates."""
+    phi = [0.0] * (n + 1)
+    psi = [0.0] * (n + 1)
+    phi[n] = p
+    psi[n] = 0.0
+    for k in range(n - 1, -1, -1):
+        a = 1.0 / ((1.0 + p) * (n - k) + 1.0)
+        phi[k] = (p * a * k + (1.0 - p) * (1.0 - p * a)) / n \
+            + (p + k) * (1.0 - p * a) * phi[k + 1] / (k + 1)
+        psi[k] = (1.0 - p) / n + (p * phi[k + 1] + k * psi[k + 1]) / (k + 1)
+    upsilon = [0.0] * (n + 1)
+    upsilon[1] = 1.0
+    for k in range(2, n + 1):
+        upsilon[k] = 1.0 / k \
+            + (1.0 - p / ((1.0 + p) * (n - k + 1) + 1.0)) * (1.0 - 1.0 / k) * upsilon[k - 1]
+    phi, psi, upsilon = np.array(phi), np.array(psi), np.array(upsilon)
+    f = upsilon * phi + (1.0 - upsilon) * psi
+    upsilon[0] = f[0] = np.nan
+    return phi, psi, upsilon, f
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [(100, p) for p, _, _ in TABLE1_ROWS]
+    + [(200_000, 0.0), (200_000, 0.5), (200_000, 1.0), (1_000_000, 0.0)],
+)
+def test_closed_forms_match_sequential_recurrence(n, p):
+    t = build_tables(ProblemSpec(n=n, p=p))
+    ref = sequential_tables(n, p)
+    for got, want in zip((t.phi, t.psi, t.upsilon, t.f), ref):
+        assert np.isnan(got[0]) == np.isnan(want[0])
+        assert np.max(np.abs(got[1:] - want[1:])) <= 1e-11
+        if not np.isnan(want[0]):
+            assert abs(got[0] - want[0]) <= 1e-11
+    assert np.argmax(t.f[1:]) == np.argmax(ref[3][1:])
 
 
 def test_spec_validation():

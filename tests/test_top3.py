@@ -47,6 +47,28 @@ def test_recurrence_identity(n):
         assert prob[k] == pytest.approx(step, abs=1e-12)
 
 
+def array_expression_table(n):
+    """top3_table's arithmetic written as plain array expressions, one fresh
+    temporary per operation: the in-place evaluation must match it bit for bit."""
+    karr = np.arange(n, dtype=np.float64)
+    r = ((n - karr - 1.0) / n) * ((n - karr - 2.0) / (n - 1)) * ((n - karr - 3.0) / (n - 2))
+    r += 0.0
+    g = (1.0 - r) / (karr + 1.0)
+    terms = np.zeros(n)
+    terms[1:] = g[1:] / karr[1:]
+    tail = np.cumsum(terms[::-1])[::-1]
+    prob = np.empty(n + 1)
+    prob[0] = g[0]
+    prob[1:n] = np.arange(1, n) * tail[1:]
+    prob[n] = 0.0
+    return prob
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 1000, 10**5])
+def test_in_place_evaluation_is_bit_identical(n):
+    assert np.array_equal(top3_table(n).prob, array_expression_table(n))
+
+
 @pytest.mark.parametrize("n", [4, 10, 100, 999, 10**5])
 def test_boundary_rows(n):
     prob = top3_table(n).prob
