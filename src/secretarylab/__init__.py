@@ -16,9 +16,6 @@ from .asymptotics import (
     LimitCurve,
     RootResult,
     integrate_limit_system,
-    ode_rhs_phi,
-    ode_rhs_psi,
-    ode_rhs_upsilon,
     optimal_x_top3,
     top3_limit,
     top3_limit_derivative,
@@ -66,9 +63,6 @@ __all__ = [
     "exact_top3",
     "generate_sequence",
     "integrate_limit_system",
-    "ode_rhs_phi",
-    "ode_rhs_psi",
-    "ode_rhs_upsilon",
     "optimal_policy",
     "optimal_policy_top3",
     "optimal_x_top3",

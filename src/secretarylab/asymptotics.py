@@ -30,14 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, InvalidSpec, NonFinite, SingularPoint
+from .errors import BracketError, DomainError, InvalidSpec, NonFinite
 
 __all__ = [
     "LimitCurve",
     "RootResult",
-    "ode_rhs_phi",
-    "ode_rhs_psi",
-    "ode_rhs_upsilon",
     "integrate_limit_system",
     "top3_limit",
     "top3_limit_derivative",
@@ -76,15 +73,10 @@ class RootResult:
     residual: float
 
 
-def _check_interior(x: float):
-    if x <= 0.0 or x >= 1.0:
-        raise SingularPoint(f"x={x} is at or beyond a pole; need 0 < x < 1")
-
-
 # Each right-hand side is linear in its own curve: slope = coefficient * curve
 # + forcing (psi's forcing also carries a phi term).  These pairs are the one
-# statement of the ODE; the ode_rhs_* functions and the integrator read them,
-# for scalar x and for arrays of x alike.
+# statement of the ODE; the integrator reads them over arrays of x, the tests
+# at scalar x.
 
 def _phi_terms(x, p):
     """(coefficient, forcing) of phi' = coefficient * phi + forcing."""
@@ -102,27 +94,6 @@ def _psi_terms(x, p):
 def _upsilon_terms(x, p):
     """(coefficient, forcing) of upsilon' = coefficient * upsilon + forcing."""
     return -(1.0 / x + p / ((1.0 + p) * (1.0 - x))), 1.0 / x
-
-
-def ode_rhs_phi(x: float, phi: float, p: float) -> float:
-    """Slope of the leader-seen-once curve at x."""
-    _check_interior(x)
-    c, e = _phi_terms(x, p)
-    return c * phi + e
-
-
-def ode_rhs_psi(x: float, psi: float, phi_at_x: float, p: float) -> float:
-    """Slope of the leader-seen-twice curve at x, given phi(x)."""
-    _check_interior(x)
-    c, d, e = _psi_terms(x, p)
-    return c * psi + d * phi_at_x + e
-
-
-def ode_rhs_upsilon(x: float, upsilon: float, p: float) -> float:
-    """Slope of the leader-seen-once-probability curve at x."""
-    _check_interior(x)
-    c, e = _upsilon_terms(x, p)
-    return c * upsilon + e
 
 
 def _rk4_step(rhs, x, h, y):
@@ -147,6 +118,12 @@ def _affine_steps(rhs, x, h, dim):
     return _rk4_step(rhs, x, h, basis * np.ones_like(x))
 
 
+# The step maps and their RK4 stages take about 520 bytes per grid point: a
+# process integrating at step 1e-6 (1e6 points) peaks near 555 MiB, so a
+# finer step is refused before anything is allocated.
+_MIN_STEP = 1e-6
+
+
 def integrate_limit_system(
     p: float, step: float = 1e-4, epsilon: float = 1e-4
 ) -> tuple[LimitCurve, LimitCurve, LimitCurve, LimitCurve]:
@@ -155,7 +132,8 @@ def integrate_limit_system(
     phi and psi run jointly backward from x = 1-eps (psi's slope needs the
     stage values of phi); upsilon runs forward from x = eps.  Classical
     fixed-step fourth-order Runge-Kutta on a shared uniform grid; the step
-    is rounded so the grid lands exactly on both ends.
+    is rounded so the grid lands exactly on both ends.  A step below 1e-6
+    raises DomainError, which bounds the memory of one call.
 
     The system is linear, so each RK4 step is an affine map of the state:
     backward, phi <- P phi + Q and psi <- S psi + R phi + T (phi at the
@@ -176,9 +154,9 @@ def integrate_limit_system(
     if not 0.0 <= p <= 1.0:
         raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
     if not 0.0 < epsilon < 0.1:
-        raise DomainError(f"need 0 < epsilon < 0.1, got {epsilon}")
-    if not 0.0 < step <= epsilon:
-        raise DomainError(f"need 0 < step <= epsilon, got step={step}")
+        raise DomainError(f"need 0 < epsilon < 0.1, got epsilon={epsilon}")
+    if not _MIN_STEP <= step <= epsilon:
+        raise DomainError(f"need {_MIN_STEP:g} <= step <= epsilon, got step={step}")
 
     m = max(1, int(round((1.0 - 2.0 * epsilon) / step)))
     grid = np.linspace(epsilon, 1.0 - epsilon, m + 1)

@@ -2,8 +2,15 @@
 
 Every command writes a deterministic record for identical inputs: stable
 field order, repr-precision floats in JSON, fixed decimal formatting in
-CSV.  Results go to stdout, errors to stderr; exit codes are 2 for bad
-arguments, 1 for computation failures, 0 on success.
+CSV.  Results go to stdout, errors to stderr as a message, never a
+traceback.
+
+The library checks every numeric domain itself; the command group maps its
+errors to exit codes in one place.  Invalid input exits 2: a
+``SecretaryLabError`` that is a ``ValueError`` or ``IndexError``, or a bad
+option (including an unwritable ``--out``).  An arithmetic failure
+(``NonFinite``, ``BracketError``) exits 1; success exits 0.  The commands
+check only which options go with which ``--model``.
 
 The default simulation seed may be overridden with the environment
 variable SECRETARYLAB_SEED (an integer).
@@ -71,7 +78,20 @@ def _record(command: str, parameters: dict, result: dict) -> dict:
     }
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps every library error raised under a command to its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SecretaryLabError as exc:
+            error = click.ClickException(str(exc))
+            if not isinstance(exc, ArithmeticError):
+                error.exit_code = 2
+            raise error from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="secretarylab")
 def main():
     """Threshold-rule hiring models: exact solvers, limits, simulation."""
@@ -82,14 +102,7 @@ def main():
 @click.option("--p", type=float, required=True, help="Reappearance probability in [0, 1].")
 def reappearance_solve(n: int, p: float):
     """Optimal threshold and success probability for the re-arrival model."""
-    if n < 2:
-        raise click.BadParameter("the re-arrival solver requires n >= 2", param_hint="--n")
-    if not 0.0 <= p <= 1.0:
-        raise click.BadParameter("p must lie in [0, 1]", param_hint="--p")
-    try:
-        pol = optimal_policy(ProblemSpec(n=n, p=p))
-    except SecretaryLabError as exc:
-        raise click.ClickException(str(exc))
+    pol = optimal_policy(ProblemSpec(n=n, p=p))
     _emit(_record(
         "reappearance-solve",
         {"n": n, "p": p},
@@ -101,14 +114,7 @@ def reappearance_solve(n: int, p: float):
 @click.option("--n", type=int, required=True, help="Number of candidates (n >= 4).")
 def top3_solve(n: int):
     """Optimal threshold and success probability for the top-3 objective."""
-    if n < 4:
-        raise click.BadParameter(
-            "the top-3 objective is degenerate for n < 4", param_hint="--n"
-        )
-    try:
-        pol = optimal_policy_top3(n)
-    except SecretaryLabError as exc:
-        raise click.ClickException(str(exc))
+    pol = optimal_policy_top3(n)
     _emit(_record(
         "top3-solve",
         {"n": n},
@@ -126,27 +132,18 @@ def top3_solve(n: int):
               help="CSV fractional digits.")
 def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: int):
     """Write the full success-probability curve (k, probability)."""
-    try:
-        if model == "reappearance":
-            if p is None:
-                raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
-            if n < 2:
-                raise click.BadParameter("need n >= 2", param_hint="--n")
-            tables = build_tables(ProblemSpec(n=n, p=p))
-            ks = range(1, n + 1)
-            values = tables.f[1:].tolist()
-        else:
-            if p not in (None, 0.0):
-                raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
-            if n < 4:
-                raise click.BadParameter("need n >= 4 for the top-3 model", param_hint="--n")
-            table = top3_table(n)
-            ks = range(0, n)
-            values = table.prob[:n].tolist()
-    except click.ClickException:
-        raise
-    except SecretaryLabError as exc:
-        raise click.ClickException(str(exc))
+    if model == "reappearance":
+        if p is None:
+            raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
+        tables = build_tables(ProblemSpec(n=n, p=p))
+        ks = range(1, n + 1)
+        values = tables.f[1:].tolist()
+    else:
+        if p not in (None, 0.0):
+            raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+        table = top3_table(n)
+        ks = range(0, n)
+        values = table.prob[:n].tolist()
 
     if fmt == "csv":
         lines = ["k,probability"]
@@ -160,11 +157,12 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
             "rows": [{"k": k, "probability": v} for k, v in zip(ks, values)],
         }) + "\n"
 
-    if out == "-":
-        click.echo(payload, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(payload)
+    try:
+        fh = click.open_file(out, "w")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="--out") from exc
+    with fh:
+        fh.write(payload)
 
 
 def _table_check(computed_k: int, computed_v: float, k_ref: int, printed: str):
@@ -240,17 +238,10 @@ def _fmt_cell(v) -> str:
               envvar="SECRETARYLAB_SEED", show_default=True, show_envvar=True)
 def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
     """Monte Carlo estimate of a policy's success probability."""
-    if trials < 1:
-        raise click.BadParameter("need at least one trial", param_hint="--trials")
-    if n < 1:
-        raise click.BadParameter("need n >= 1", param_hint="--n")
     if model == "top3" and p != 0.0:
         raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
     objective = "top3" if model == "top3" else "best"
-    try:
-        report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
-    except SecretaryLabError as exc:
-        raise click.ClickException(str(exc))
+    report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     _emit(_record(
         "simulate",
         {"model": model, "n": n, "p": p, "k": k, "trials": trials, "seed": seed},
@@ -269,37 +260,32 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 @click.option("--epsilon", type=float, default=1e-4, show_default=True)
 def asymptotic(model: str, p: float | None, step: float, epsilon: float):
     """Limiting optimal threshold as n grows without bound."""
-    try:
-        if model == "top3":
-            if p is not None:
-                raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
-            root = optimal_x_top3(1e-9)
-            _emit(_record(
-                "asymptotic",
-                {"model": model},
-                {
-                    "x_star": root.x_star,
-                    "probability": root.value_at_root,
-                    "residual": root.residual,
-                },
-            ))
-            return
-        if p is None:
-            raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
-        _, _, _, f_curve = integrate_limit_system(p, step=step, epsilon=epsilon)
-        i = int(f_curve.values.argmax())
+    if model == "top3":
+        if p is not None:
+            raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+        root = optimal_x_top3(1e-9)
         _emit(_record(
             "asymptotic",
-            {"model": model, "p": p, "step": step, "epsilon": epsilon},
+            {"model": model},
             {
-                "x_star": float(f_curve.grid[i]),
-                "probability": float(f_curve.values[i]),
+                "x_star": root.x_star,
+                "probability": root.value_at_root,
+                "residual": root.residual,
             },
         ))
-    except click.ClickException:
-        raise
-    except SecretaryLabError as exc:
-        raise click.ClickException(str(exc))
+        return
+    if p is None:
+        raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
+    _, _, _, f_curve = integrate_limit_system(p, step=step, epsilon=epsilon)
+    i = int(f_curve.values.argmax())
+    _emit(_record(
+        "asymptotic",
+        {"model": model, "p": p, "step": step, "epsilon": epsilon},
+        {
+            "x_star": float(f_curve.grid[i]),
+            "probability": float(f_curve.values[i]),
+        },
+    ))
 
 
 if __name__ == "__main__":

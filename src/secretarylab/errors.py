@@ -17,12 +17,8 @@ class DegenerateInstance(SecretaryLabError, ValueError):
     """Instance too small for the top-3 objective to be meaningful (n < 4)."""
 
 
-class SingularPoint(SecretaryLabError, ValueError):
-    """An ODE right-hand side was evaluated at or beyond a pole (x <= 0 or x >= 1)."""
-
-
 class NonFinite(SecretaryLabError, ArithmeticError):
-    """A numerical state became NaN or infinite during integration."""
+    """A computed value became NaN or infinite, or left its valid range."""
 
 
 class DomainError(SecretaryLabError, ValueError):

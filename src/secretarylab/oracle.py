@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .errors import DegenerateInstance, IndexOutOfRange, InvalidSpec, TooLarge
+from .errors import IndexOutOfRange, InvalidSpec, TooLarge
+from .top3 import _check_n as _check_top3_n
 
 __all__ = ["ExactResult", "exact_top3", "exact_reappearance"]
 
@@ -38,8 +39,7 @@ def exact_top3(n: int, k: int) -> ExactResult:
     """Top-3 success probability of threshold k, by full permutation sweep."""
     if n > _MAX_TOP3_N:
         raise TooLarge(f"exact top-3 enumeration is limited to n <= {_MAX_TOP3_N}")
-    if n < 4:
-        raise DegenerateInstance(f"top-3 objective needs n >= 4, got n={n}")
+    _check_top3_n(n)
     if not 0 <= k <= n - 1:
         raise IndexOutOfRange(f"k={k} outside 0..{n - 1}")
 

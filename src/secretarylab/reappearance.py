@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidSpec
+from .errors import IndexOutOfRange, InvalidSpec, NonFinite
 
 __all__ = [
     "ProblemSpec",
@@ -144,7 +144,7 @@ def build_tables(spec: ProblemSpec) -> DpTables:
     for name, arr in (("phi", phi), ("psi", psi),
                       ("upsilon", ups[1:]), ("f", f[1:])):
         if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
-            raise ArithmeticError(f"{name} left [0, 1] for n={n}, p={p}")
+            raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
 
     for arr in (phi, psi, ups, f):
         arr.flags.writeable = False

@@ -39,6 +39,7 @@ from .errors import (
     InvalidSpec,
     MixedSequence,
 )
+from .reappearance import ProblemSpec
 
 __all__ = [
     "ArrivalEvent",
@@ -130,10 +131,7 @@ def trial_stream(seed: int, index: int, n: int) -> np.random.Generator:
 
 def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequence:
     """Draw one arrival sequence; consumes exactly 4n uniforms from ``rng``."""
-    if n < 1:
-        raise InvalidSpec(f"need n >= 1, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
+    ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     u = rng.random(4 * n)
     rank_keys = u[:n]
     flags = u[n:2 * n] < p
@@ -231,10 +229,7 @@ def estimate(
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
     """
-    if n < 1:
-        raise InvalidSpec(f"need n >= 1, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
+    ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     if objective not in ("best", "top3"):

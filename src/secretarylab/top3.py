@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInstance, IndexOutOfRange
+from .errors import DegenerateInstance, IndexOutOfRange, NonFinite
 from .reappearance import OptimalPolicy
 
 __all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
@@ -34,7 +34,7 @@ class Top3Table:
 
 def _check_n(n: int):
     if n < 4:
-        raise DegenerateInstance(f"top-3 objective needs n >= 4, got n={n}")
+        raise DegenerateInstance(f"top-3 objective is degenerate for n < 4, got n={n}")
 
 
 def binom_survival_ratio(n: int, k: int) -> float:
@@ -93,7 +93,7 @@ def top3_table(n: int) -> Top3Table:
     prob[n] = 0.0
 
     if not ((prob >= 0.0).all() and (prob <= 1.0).all()):
-        raise ArithmeticError(f"prob left [0, 1] for n={n}")
+        raise NonFinite(f"prob left [0, 1] for n={n}")
     prob.flags.writeable = False
     return Top3Table(n=n, prob=prob)
 

@@ -5,16 +5,14 @@ import pytest
 
 from secretarylab import (
     integrate_limit_system,
-    ode_rhs_phi,
-    ode_rhs_psi,
-    ode_rhs_upsilon,
     optimal_x_top3,
     top3_limit,
     top3_limit_derivative,
     top3_table,
 )
+from secretarylab.asymptotics import _phi_terms, _psi_terms, _upsilon_terms
 from secretarylab.cli import TABLE1_ROWS
-from secretarylab.errors import DomainError, SingularPoint
+from secretarylab.errors import DomainError
 
 
 def stagewise_rk4(p, step, epsilon):
@@ -81,33 +79,38 @@ def test_affine_steps_match_stagewise_rk4(p, step, epsilon):
     assert np.argmax(curves[3].values) == np.argmax(f)
 
 
+def rhs_phi(x, phi, p):
+    c, e = _phi_terms(x, p)
+    return c * phi + e
+
+
+def rhs_psi(x, psi, phi, p):
+    c, d, e = _psi_terms(x, p)
+    return c * psi + d * phi + e
+
+
+def rhs_upsilon(x, upsilon, p):
+    c, e = _upsilon_terms(x, p)
+    return c * upsilon + e
+
+
 def test_rhs_phi_hand_values():
-    assert ode_rhs_phi(0.5, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
-    assert ode_rhs_phi(0.5, 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert rhs_phi(0.5, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert rhs_phi(0.5, 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
     # pole at the right endpoint
-    assert abs(ode_rhs_phi(1.0 - 1e-12, 0.3, 0.5)) > 1e9
+    assert abs(rhs_phi(1.0 - 1e-12, 0.3, 0.5)) > 1e9
 
 
 def test_rhs_psi_hand_values():
-    assert ode_rhs_psi(0.5, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
-    assert ode_rhs_psi(0.25, 0.25, 0.5, 1.0) == pytest.approx(-1.0, abs=1e-15)
-    assert ode_rhs_psi(0.5, 0.2, 0.3, 0.5) == pytest.approx(-0.4, abs=1e-15)
+    assert rhs_psi(0.5, 0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert rhs_psi(0.25, 0.25, 0.5, 1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert rhs_psi(0.5, 0.2, 0.3, 0.5) == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_rhs_upsilon_hand_values():
-    assert ode_rhs_upsilon(0.5, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert ode_rhs_upsilon(0.5, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert ode_rhs_upsilon(0.1, 1.0, 0.5) == pytest.approx(-0.5 / (1.5 * 0.9), abs=1e-15)
-
-
-@pytest.mark.parametrize("x", [0.0, -0.2, 1.0, 1.3])
-def test_rhs_singular_points(x):
-    with pytest.raises(SingularPoint):
-        ode_rhs_phi(x, 0.5, 0.5)
-    with pytest.raises(SingularPoint):
-        ode_rhs_psi(x, 0.5, 0.5, 0.5)
-    with pytest.raises(SingularPoint):
-        ode_rhs_upsilon(x, 0.5, 0.5)
+    assert rhs_upsilon(0.5, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert rhs_upsilon(0.5, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert rhs_upsilon(0.1, 1.0, 0.5) == pytest.approx(-0.5 / (1.5 * 0.9), abs=1e-15)
 
 
 def test_parameter_validation():
@@ -117,6 +120,16 @@ def test_parameter_validation():
         integrate_limit_system(0.5, step=0.02, epsilon=0.01)
     with pytest.raises(DomainError):
         integrate_limit_system(0.5, step=-1e-4, epsilon=1e-3)
+
+
+def test_step_floor_refuses_before_allocating(monkeypatch):
+    # a grid at step 1e-9 would take about 500 GiB; the step is refused first
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated before the step was checked")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(DomainError, match="step=1e-09"):
+        integrate_limit_system(0.5, step=1e-9, epsilon=1e-3)
 
 
 def test_classical_curve_matches_closed_form():

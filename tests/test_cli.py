@@ -4,8 +4,10 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import secretarylab.cli as cli
 from secretarylab import exact_top3
 from secretarylab.cli import main, printed_tolerance
+from secretarylab.errors import NonFinite
 
 
 @pytest.fixture
@@ -17,6 +19,14 @@ def run_json(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def assert_rejected(result, *needles):
+    """Invalid input: exit 2, a message naming the value, no traceback."""
+    assert result.exit_code == 2, result.output
+    for needle in needles:
+        assert needle in result.output
+    assert "Traceback" not in result.output
 
 
 def test_reappearance_solve(runner):
@@ -31,9 +41,8 @@ def test_reappearance_solve(runner):
 
 
 def test_reappearance_solve_rejects_n1(runner):
-    result = runner.invoke(main, ["reappearance-solve", "--n", "1", "--p", "0.5"])
-    assert result.exit_code == 2
-    assert "n >= 2" in result.output
+    assert_rejected(runner.invoke(main, ["reappearance-solve", "--n", "1", "--p", "0.5"]),
+                    "n >= 2", "n=1")
 
 
 def test_top3_solve(runner):
@@ -47,9 +56,7 @@ def test_top3_solve(runner):
 
 
 def test_top3_solve_rejects_small_n(runner):
-    result = runner.invoke(main, ["top3-solve", "--n", "3"])
-    assert result.exit_code == 2
-    assert "degenerate" in result.output
+    assert_rejected(runner.invoke(main, ["top3-solve", "--n", "3"]), "degenerate", "n=3")
 
 
 def test_curve_reappearance_csv(runner):
@@ -103,8 +110,8 @@ def test_curve_writes_file(runner, tmp_path):
 
 
 def test_curve_requires_p_for_reappearance(runner):
-    result = runner.invoke(main, ["curve", "--model", "reappearance", "--n", "10"])
-    assert result.exit_code == 2
+    assert_rejected(runner.invoke(main, ["curve", "--model", "reappearance", "--n", "10"]),
+                    "--p")
 
 
 def test_table1_all_pass(runner):
@@ -161,7 +168,7 @@ def test_simulate_rejects_zero_trials(runner):
         ["simulate", "--model", "top3", "--n", "100", "--k", "26",
          "--trials", "0", "--seed", "1"],
     )
-    assert result.exit_code == 2
+    assert_rejected(result, "trials", "got 0")
 
 
 def test_simulate_deterministic_output(runner):
@@ -200,13 +207,6 @@ def test_asymptotic_reappearance_p1(runner):
     assert abs(rec["result"]["probability"] - 0.76) <= 0.01
 
 
-def test_asymptotic_bad_epsilon_is_computation_error(runner):
-    result = runner.invoke(
-        main, ["asymptotic", "--model", "reappearance", "--p", "0.5", "--epsilon", "0.3"]
-    )
-    assert result.exit_code == 1
-
-
 def test_printed_tolerance():
     assert printed_tolerance("0.371") == pytest.approx(1e-3)
     assert printed_tolerance("0.6874") == pytest.approx(1e-4)
@@ -220,8 +220,7 @@ def test_simulate_rejects_seed_outside_philox_key(runner, seed):
         ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10",
          "--seed", seed],
     )
-    assert result.exit_code == 2
-    assert "--seed" in result.output
+    assert_rejected(result, "--seed", seed)
 
 
 def test_simulate_accepts_largest_seed(runner):
@@ -239,11 +238,51 @@ def test_simulate_top3_rejects_p(runner):
         ["simulate", "--model", "top3", "--n", "20", "--p", "0.5", "--k", "5",
          "--trials", "10"],
     )
-    assert result.exit_code == 2
-    assert "--p" in result.output
+    assert_rejected(result, "--p")
 
 
 def test_curve_rejects_negative_precision(runner):
     result = runner.invoke(main, ["curve", "--model", "top3", "--n", "10", "--precision", "-1"])
-    assert result.exit_code == 2
-    assert "--precision" in result.output
+    assert_rejected(result, "--precision", "-1")
+
+
+REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"]
+
+
+@pytest.mark.parametrize("args,needles", [
+    pytest.param(["curve", "--model", "reappearance", "--n", "10", "--p", "2"],
+                 ["p=2.0"], id="curve-p"),
+    pytest.param(["simulate", "--model", "reappearance", "--n", "10", "--p", "0.5",
+                  "--k", "0", "--trials", "10"], ["k=0"], id="simulate-k"),
+    pytest.param(["simulate", "--model", "top3", "--n", "10", "--k", "10", "--trials", "10"],
+                 ["k=10"], id="simulate-top3-k"),
+    pytest.param(["simulate", "--model", "reappearance", "--n", "10", "--p", "1.5",
+                  "--k", "3", "--trials", "10"], ["p=1.5"], id="simulate-p"),
+    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--epsilon", "0.3"], ["epsilon=0.3"],
+                 id="asymptotic-epsilon"),
+    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "0.5"], ["step=0.5"],
+                 id="asymptotic-step"),
+    pytest.param(["asymptotic", "--model", "reappearance", "--p", "1.5"], ["p=1.5"],
+                 id="asymptotic-p"),
+    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "1e-9", "--epsilon", "1e-3"],
+                 ["step=1e-09"], id="asymptotic-step-floor"),
+    pytest.param(["curve", "--model", "top3", "--n", "10", "--out", "{missing}"],
+                 ["--out", "{missing}"], id="curve-out"),
+])
+def test_rejects_invalid_input(runner, tmp_path, args, needles):
+    def fill(text):  # the --out row writes into a directory that does not exist
+        return text.replace("{missing}", str(tmp_path / "missing" / "x.csv"))
+
+    result = runner.invoke(main, [fill(a) for a in args])
+    assert_rejected(result, *map(fill, needles))
+
+
+def test_arithmetic_failure_exits_1(runner, monkeypatch):
+    def diverge(n):
+        raise NonFinite(f"prob left [0, 1] for n={n}")
+
+    monkeypatch.setattr(cli, "top3_table", diverge)
+    result = runner.invoke(main, ["curve", "--model", "top3", "--n", "10"])
+    assert result.exit_code == 1
+    assert "Error: prob left [0, 1] for n=10" in result.output
+    assert "Traceback" not in result.output
