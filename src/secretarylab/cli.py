@@ -65,8 +65,23 @@ def printed_tolerance(printed: str) -> float:
     return 10.0 ** (-decimals)
 
 
+def _write(text: str, out: str = "-"):
+    """Write text to the file ``out``, or to stdout for ``-``.
+
+    Uses click.open_file, not click.echo: echo caches each stream it writes
+    to, which keeps every redirected stdout alive for the life of the process.
+    """
+    try:
+        fh = click.open_file(out, "w")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="--out") from exc
+    with fh:
+        fh.write(text)
+        fh.flush()
+
+
 def _emit(record: dict):
-    click.echo(json.dumps(record))
+    _write(json.dumps(record) + "\n")
 
 
 def _record(command: str, parameters: dict, result: dict) -> dict:
@@ -157,12 +172,7 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
             "rows": [{"k": k, "probability": v} for k, v in zip(ks, values)],
         }) + "\n"
 
-    try:
-        fh = click.open_file(out, "w")
-    except OSError as exc:
-        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="--out") from exc
-    with fh:
-        fh.write(payload)
+    _write(payload, out)
 
 
 def _table_check(computed_k: int, computed_v: float, k_ref: int, printed: str):
@@ -214,12 +224,12 @@ def _print_table(fmt: str, name: str, rows: list[dict], columns: tuple):
         return
     cells = [[_fmt_cell(row[c]) for c in columns] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
-    click.echo("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    for r in cells:
-        click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
+    lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in cells]
     n_fail = sum(row["status"] != "pass" for row in rows)
-    click.echo(f"{name}: {len(rows) - n_fail}/{len(rows)} rows pass"
-               + (f", {n_fail} FAIL" if n_fail else ""))
+    lines.append(f"{name}: {len(rows) - n_fail}/{len(rows)} rows pass"
+                 + (f", {n_fail} FAIL" if n_fail else ""))
+    _write("\n".join(lines) + "\n")
 
 
 def _fmt_cell(v) -> str:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory ceiling they enforce."""
 
 
 class SecretaryLabError(Exception):
@@ -39,3 +39,19 @@ class InvalidCombination(SecretaryLabError, ValueError):
 
 class TooLarge(SecretaryLabError, ValueError):
     """Instance exceeds the exact enumeration limits."""
+
+
+# Ceiling on the arrays one call may hold at its peak.  Every published size
+# fits far below it (top3_table at n = 1e7 peaks near 250 MB); a larger n is
+# refused before anything is allocated, instead of ending in a numpy memory
+# error or exhausting a machine that grants the allocation.
+MAX_WORKING_BYTES = 2 << 30
+
+
+def check_working_set(n: int, bytes_per_entry: int, what: str):
+    """Raise DomainError when n entries of bytes_per_entry exceed MAX_WORKING_BYTES."""
+    if n * bytes_per_entry > MAX_WORKING_BYTES:
+        raise DomainError(
+            f"{what} at n={n} needs about {n * bytes_per_entry / 2**30:.3g} GiB, "
+            f"over the {MAX_WORKING_BYTES >> 30} GiB limit"
+        )

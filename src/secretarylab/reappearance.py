@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidSpec, NonFinite
+from .errors import IndexOutOfRange, InvalidSpec, NonFinite, check_working_set
 
 __all__ = [
     "ProblemSpec",
@@ -111,10 +111,14 @@ def build_tables(spec: ProblemSpec) -> DpTables:
     ------
     InvalidSpec
         If n < 2 (both recurrence directions must be nonempty).
+    DomainError
+        Before allocating, if the arrays (96 bytes per entry, measured) would
+        exceed ``errors.MAX_WORKING_BYTES``.
     """
     n, p = spec.n, float(spec.p)
     if n < 2:
         raise InvalidSpec(f"need n >= 2 to build tables, got n={n}")
+    check_working_set(n, 96, "build_tables")
 
     k = np.arange(n + 1, dtype=np.float64)
     kb = k[:n]  # the backward steps k = 0..n-1

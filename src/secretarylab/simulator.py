@@ -24,6 +24,23 @@ at counter ``i * block_width / 4``.  Within a block:
 With the layout fixed, a chunked vectorised run and a per-trial run on
 ``trial_stream(seed, i, n)`` produce identical outcomes bit for bit; trials
 are independent, so any execution order gives the same report.
+
+Vectorised kernel
+-----------------
+``estimate`` reads the same layout as the per-trial functions but never
+turns rank keys into ranks: both policies only compare ranks, so each
+event carries its candidate's rank key, a hire is the best candidate when
+its key is the trial's smallest, and a top-3 hire when it is at most the
+third smallest.  At p = 0 only the first token of each candidate exists, so
+only the even shuffle keys ``[2n, 4n)`` are read and sorted.  The policy is
+evaluated without a loop over events: until it stops, its leader is the
+prefix minimum of the keys seen.  Trials are drawn in chunks of whole
+blocks, at least one trial per chunk.
+
+Ties are the one case where the kernel and the per-trial functions may
+disagree: two candidates with equal 53-bit rank keys (probability at most
+n^2 2^-54 per trial), or at p = 0 with equal first-token shuffle keys (the
+same bound), may be ranked or ordered differently.
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ from .errors import (
     InvalidCombination,
     InvalidSpec,
     MixedSequence,
+    check_working_set,
 )
 from .reappearance import ProblemSpec
 
@@ -54,7 +72,13 @@ __all__ = [
 ]
 
 _DRAWS_PER_CANDIDATE = 6
-_CHUNK_DOUBLES = 1 << 23  # ~64 MiB of uniforms per vectorised chunk
+# Uniforms drawn per vectorised chunk (64 MiB).  The budget covers the block
+# only; the event arrays built from it add at most as much again, and a
+# chunk peaks at 121 MiB in all, 96 MiB at p = 0 (measured with tracemalloc).
+# Past n = 2**23 // 6 one trial's block alone exceeds the budget and a chunk
+# holds that one trial, which peaks at 88 bytes per candidate.
+_CHUNK_DOUBLES = 1 << 23
+_TRIAL_BYTES_PER_CANDIDATE = 88
 
 
 def _block_width(n: int) -> int:
@@ -228,6 +252,8 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
+    Raises DomainError for an n at which one trial would exceed
+    ``errors.MAX_WORKING_BYTES``.
     """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     if trials < 1:
@@ -242,20 +268,19 @@ def estimate(
     else:
         if not 1 <= k <= n:
             raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
+    check_working_set(n, _TRIAL_BYTES_PER_CANDIDATE, "one simulated trial")
 
     width = _block_width(n)
-    chunk = max(256, _CHUNK_DOUBLES // width)
+    chunk = max(1, _CHUNK_DOUBLES // width)
     gen = np.random.Generator(np.random.Philox(key=seed))
     successes = 0
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        block = gen.random((t, width))
+    for done in range(0, trials, chunk):
+        block = gen.random((min(chunk, trials - done), width))
         if objective == "top3":
             successes += _top3_chunk_successes(block, n, k)
         else:
             successes += _best_chunk_successes(block, n, p, k)
-        done += t
+        del block  # free this chunk before the next one is drawn
 
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
@@ -264,81 +289,86 @@ def estimate(
     )
 
 
-def _event_arrays(block: np.ndarray, n: int, p: float):
-    """Vectorised event construction mirroring generate_sequence.
+def _event_keys(block: np.ndarray, n: int, p: float):
+    """Rank keys of each trial's events in arrival order, mirroring generate_sequence.
 
-    Returns arrival ranks, second-appearance flags (both (T, 2n), valid up
-    to column counts[i]), and the per-trial event counts.
+    Returns ``(x, second)``.  ``x[i, t]`` is the rank key of the candidate
+    at event t of trial i (a smaller key is a better rank).  ``second``
+    flags second appearances, and is None at p = 0, where only the n first
+    tokens exist and are sorted.  At p > 0 each row has 2n columns: past
+    the trial's events come the missing second tokens, each carrying its
+    candidate's key unflagged, so no policy can accept one.
     """
     t_cnt = block.shape[0]
-    rank_keys = block[:, :n]
-    order = np.argsort(rank_keys, axis=1)
-    ranks = np.empty((t_cnt, n), dtype=np.int64)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(1, n + 1), (t_cnt, n)), axis=1
-    )
-    doubles = block[:, n:2 * n] < p
+    rank_keys = np.ascontiguousarray(block[:, :n]).ravel()
+    if p == 0.0:
+        tok = np.argsort(block[:, 2 * n:4 * n:2], axis=1)
+        tok += np.arange(0, t_cnt * n, n)[:, None]  # flat candidate index
+        return rank_keys.take(tok), None
 
-    keys = block[:, 2 * n:4 * n].reshape(t_cnt, n, 2).copy()
-    keys[:, :, 1][~doubles] = np.inf  # missing second tokens sort to the tail
-    second = np.zeros((t_cnt, n, 2), dtype=bool)
-    second[:, :, 0] = doubles & (keys[:, :, 0] > keys[:, :, 1])
-    second[:, :, 1] = doubles & (keys[:, :, 1] >= keys[:, :, 0])
+    keys = block[:, 2 * n:4 * n].copy()
+    single = block[:, n:2 * n] >= p
+    keys[:, 1::2][single] = np.inf  # missing second tokens sort to the tail
+    later = np.empty(keys.shape, dtype=bool)  # the token is an existing second one
+    np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
+    np.logical_or(later[:, 0::2], single, out=later[:, 1::2])
+    np.logical_not(later[:, 1::2], out=later[:, 1::2])
 
-    flat_keys = keys.reshape(t_cnt, 2 * n)
-    arrival = np.argsort(flat_keys, axis=1)
-    tok_rank = np.repeat(ranks, 2, axis=1)
-    ev_rank = np.take_along_axis(tok_rank, arrival, axis=1)
-    ev_second = np.take_along_axis(second.reshape(t_cnt, 2 * n), arrival, axis=1)
-    counts = n + doubles.sum(axis=1)
-    return ev_rank, ev_second, counts
+    tok = np.argsort(keys, axis=1)
+    del keys
+    tok += np.arange(0, t_cnt * 2 * n, 2 * n)[:, None]  # flat token index
+    second = later.ravel().take(tok)
+    del later
+    tok >>= 1  # flat candidate index
+    return rank_keys.take(tok), second
+
+
+def _hired_keys(x: np.ndarray, accept: np.ndarray) -> np.ndarray:
+    """Rank key of each trial's first accepted event; inf where none is accepted."""
+    if accept.shape[1] == 0:  # the classical rule at k = n
+        return np.full(accept.shape[0], np.inf)
+    first = accept.argmax(axis=1)[:, None]
+    hired = np.take_along_axis(accept, first, axis=1)
+    return np.where(hired, np.take_along_axis(x, first, axis=1), np.inf)[:, 0]
+
+
+def _classical_hires(x: np.ndarray, k: int) -> np.ndarray:
+    """Hired keys of the classical rule (see run_policy_top3).
+
+    The rule takes the first event at position >= k that beats every
+    earlier event.  Until it hires, the best key seen is the best of the
+    first k, so one comparison per event decides.
+    """
+    bar = x[:, :k].min(axis=1, initial=np.inf)
+    return _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
 
 
 def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
-    ev_rank, ev_second, counts = _event_arrays(block, n, p)
-    coins = block[:, 4 * n:6 * n]
-    t_cnt = block.shape[0]
-
-    distinct = np.zeros(t_cnt, dtype=np.int64)
-    lead_rank = np.full(t_cnt, n + 1, dtype=np.int64)
-    accepted = np.zeros(t_cnt, dtype=bool)
-    chosen = np.zeros(t_cnt, dtype=np.int64)
-    for t in range(2 * n):
-        active = ~accepted & (t < counts)
-        if not active.any():
-            break
-        r = ev_rank[:, t]
-        snd = ev_second[:, t]
-
-        observing = active & (distinct < k)
-        improving = observing & (r < lead_rank)
-        lead_rank = np.where(improving, r, lead_rank)
-        distinct = distinct + (observing & ~snd)
-
-        selecting = active & ~observing
-        lead_return = selecting & snd & (r == lead_rank)
-        fresh_leader = selecting & (r < lead_rank) & ~snd
-        better_return = selecting & (r < lead_rank) & snd
-        take = fresh_leader & (coins[:, t] < 1.0 - p)
-        demur = fresh_leader & ~take
-
-        accept_now = lead_return | take | better_return
-        chosen = np.where(accept_now, r, chosen)
-        accepted |= accept_now
-        lead_rank = np.where(demur, r, lead_rank)
-    return int(np.count_nonzero(accepted & (chosen == 1)))
+    x, second = _event_keys(block, n, p)
+    if second is None:
+        # p = 0: every event is a fresh candidate and every coin is < 1 - p
+        hired = _classical_hires(x, k)
+        best = x.min(axis=1)
+    else:
+        # Until the policy stops, its leader is the best key seen so far (it
+        # moves only to a better fresh candidate it turns down), so from the
+        # second event on it is the prefix minimum.  Only a fresh candidate
+        # can beat it and only its own return can tie it.  Selection starts
+        # once k distinct candidates have been seen.
+        selecting = np.cumsum(~second[:, :-1], axis=1, dtype=np.int32) >= k
+        leader = np.minimum.accumulate(x[:, :-1], axis=1)
+        x_next = x[:, 1:]
+        accept = (x_next < leader) & (block[:, 4 * n + 1:6 * n] < 1.0 - p)
+        accept |= (x_next == leader) & second[:, 1:]
+        accept &= selecting
+        hired = _hired_keys(x_next, accept)
+        best = np.minimum(leader[:, -1], x[:, -1])
+    return int(np.count_nonzero(hired == best))
 
 
 def _top3_chunk_successes(block: np.ndarray, n: int, k: int) -> int:
-    ev_rank, _, _ = _event_arrays(block, n, 0.0)
-    ev_rank = ev_rank[:, :n]  # p = 0: exactly n events per trial
-    running_min = np.minimum.accumulate(ev_rank, axis=1)
-    leading = np.empty_like(ev_rank, dtype=bool)
-    leading[:, 0] = True
-    leading[:, 1:] = ev_rank[:, 1:] < running_min[:, :-1]
-    if k > 0:
-        leading[:, :k] = False
-    any_accept = leading.any(axis=1)
-    first = np.argmax(leading, axis=1)
-    chosen = np.take_along_axis(ev_rank, first[:, None], axis=1)[:, 0]
-    return int(np.count_nonzero(any_accept & (chosen <= 3)))
+    x, _ = _event_keys(block, n, 0.0)
+    hired = _classical_hires(x, k)
+    kth = min(2, n - 1)  # below n = 3 every hire is a top-3 hire
+    third = np.partition(block[:, :n], kth, axis=1)[:, kth]
+    return int(np.count_nonzero(hired <= third))

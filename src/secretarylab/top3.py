@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInstance, IndexOutOfRange, NonFinite
+from .errors import DegenerateInstance, IndexOutOfRange, NonFinite, check_working_set
 from .reappearance import OptimalPolicy
 
 __all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
@@ -66,8 +66,12 @@ def top3_table(n: int) -> Top3Table:
     per operation.  Each operation and its order are those of the plain
     array expression, and every integer operand is exact, so the values
     are the same bit for bit.
+
+    Raises DomainError, before allocating, for an n whose arrays (25 bytes
+    per entry, measured) would exceed ``errors.MAX_WORKING_BYTES``.
     """
     _check_n(n)
+    check_working_set(n, 25, "top3_table")
     prob = np.empty(n + 1)
     tmp = prob[:n]                      # scratch until it takes the tail sums
     d = np.arange(n, 0, -1, dtype=np.float64)  # n - k for k = 0..n-1

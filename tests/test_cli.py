@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -268,6 +272,12 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  ["step=1e-09"], id="asymptotic-step-floor"),
     pytest.param(["curve", "--model", "top3", "--n", "10", "--out", "{missing}"],
                  ["--out", "{missing}"], id="curve-out"),
+    pytest.param(["top3-solve", "--n", "1000000000000"], ["n=1000000000000"],
+                 id="top3-solve-n-too-large"),
+    pytest.param(["reappearance-solve", "--n", "1000000000000", "--p", "0.5"],
+                 ["n=1000000000000"], id="reappearance-solve-n-too-large"),
+    pytest.param(["simulate", "--model", "top3", "--n", "1000000000000", "--k", "1",
+                  "--trials", "1"], ["n=1000000000000"], id="simulate-n-too-large"),
 ])
 def test_rejects_invalid_input(runner, tmp_path, args, needles):
     def fill(text):  # the --out row writes into a directory that does not exist
@@ -275,6 +285,17 @@ def test_rejects_invalid_input(runner, tmp_path, args, needles):
 
     result = runner.invoke(main, [fill(a) for a in args])
     assert_rejected(result, *map(fill, needles))
+
+
+def test_stdout_is_not_kept_alive_after_a_command():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["table1"], standalone_mode=False)
+    assert "table1: 9/9 rows pass" in buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_arithmetic_failure_exits_1(runner, monkeypatch):

@@ -15,6 +15,7 @@ from secretarylab import (
     top3_table,
     trial_stream,
 )
+from secretarylab import simulator
 from secretarylab.errors import (
     DomainError,
     IndexOutOfRange,
@@ -150,10 +151,15 @@ def test_policy_reappearance_sanity():
         (5, 0.0, 2, "best"),
         (6, 0.0, 2, "top3"),
         (9, 0.0, 0, "top3"),
+        (3, 0.0, 2, "top3"),
+        (1, 0.5, 1, "best"),
+        (200, 0.0, 74, "best"),
+        (200, 0.5, 110, "best"),
+        (200, 1.0, 94, "best"),
     ],
 )
 def test_estimate_matches_per_trial_composition(n, p, k, objective):
-    trials, seed = 500, 97
+    trials, seed = (100, 98) if n >= 200 else (500, 97)
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     successes = 0
     for i in range(trials):
@@ -166,6 +172,66 @@ def test_estimate_matches_per_trial_composition(n, p, k, objective):
             out = run_policy_reappearance(seq, k, p, g)
             successes += out.chosen_rank == 1
     assert report.successes == successes
+
+
+# successes reported by the kernel that ranked candidates and scanned events
+# one position at a time, kept as literals; (n, p, k, trials, seed, objective,
+# successes).  Chunks then held max(256, 2**23 // (6 n)) trials, so the rows
+# with 400000 trials at n = 4, 15000 at n = 100, 1500 at n = 1000 and 300 at
+# n = 10000 span two chunks.
+PINNED_COUNTS = [
+    (4, 0.25, 1, 400_000, 3, "best", 180897),
+    (4, 0.5, 4, 5_000, 4, "best", 1266),
+    (4, 1.0, 4, 5_000, 18, "best", 3220),
+    (4, 0.0, 0, 5_000, 5, "top3", 3736),
+    (4, 0.0, 3, 5_000, 6, "top3", 1220),
+    (7, 1.0, 1, 5_000, 7, "best", 3589),
+    (7, 1.0, 7, 5_000, 19, "best", 2651),
+    (7, 0.0, 7, 5_000, 8, "best", 0),
+    (100, 0.5, 1, 15_000, 9, "best", 2067),
+    (100, 0.25, 100, 3_000, 10, "best", 20),
+    (100, 0.0, 99, 3_000, 11, "top3", 40),
+    (1000, 1.0, 1000, 1_500, 12, "best", 67),
+    (1000, 0.5, 430, 1_500, 13, "best", 712),
+    (1000, 0.0, 0, 1_500, 14, "top3", 3),
+    (1000, 0.0, 260, 1_500, 15, "top3", 890),
+    (10_000, 0.5, 1, 300, 16, "best", 5),
+    (10_000, 1.0, 4700, 300, 20, "best", 235),
+    (10_000, 0.0, 2600, 300, 17, "top3", 163),
+    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0),
+]
+
+
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,successes", PINNED_COUNTS)
+def test_estimate_matches_pinned_counts(n, p, k, trials, seed, objective, successes):
+    report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+    assert report.successes == successes
+
+
+@pytest.mark.parametrize("p,k,objective", [
+    (0.0, 11, "best"),
+    (0.4, 14, "best"),
+    (1.0, 12, "best"),
+    (0.0, 9, "top3"),
+])
+def test_report_independent_of_chunking(monkeypatch, p, k, objective):
+    n, trials, seed = 30, 301, 5
+    reports = [estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)]
+    width = simulator._block_width(n)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", per_chunk * width)
+        reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew uniforms for an oversized trial")
+
+    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    with pytest.raises(DomainError, match="n=1000000000"):
+        estimate(n=10**9, p=0.5, k=1, trials=1, seed=0)
 
 
 def test_estimate_reproducible():
