@@ -56,12 +56,12 @@ def exact_top3(n: int, k: int) -> ExactResult:
     )
 
 
-@lru_cache(maxsize=None)
 def exact_reappearance(n: int, p, k: int) -> ExactResult:
     """Rank-1 success probability of the re-arrival policy at threshold k.
 
     ``p`` may be a Fraction, int or float; floats are taken at their exact
     binary value.  Limited to n <= 4 (the token-arrangement count explodes).
+    One enumeration per (n, p) serves every k.
     """
     if n > _MAX_REAPPEAR_N:
         raise TooLarge(f"exact re-arrival enumeration is limited to n <= {_MAX_REAPPEAR_N}")
@@ -72,10 +72,18 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
         raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
+    return ExactResult(probability=_reappearance_by_k(n, p)[k - 1], instance=(n, p, k, "best"))
 
-    total = Fraction(0)
+
+@lru_cache(maxsize=None)
+def _reappearance_by_k(n: int, p: Fraction) -> tuple[Fraction, ...]:
+    """Success probabilities of the thresholds k = 1..n, from one enumeration.
+
+    Within one reappearance subset every (arrangement, ranks) pair has the
+    same weight, so the walks are summed first and weighted once.
+    """
+    totals = [Fraction(0)] * n
     weight_seen = Fraction(0)
-    rank_weight = Fraction(1, factorial(n))
     for s in range(n + 1):
         for subset in combinations(range(n), s):
             w_subset = p ** s * (1 - p) ** (n - s)
@@ -85,14 +93,16 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
             tokens = tuple(sorted(tuple(range(n)) + subset))
             arrangements = sorted(set(permutations(tokens)))
             assert len(arrangements) == factorial(n + s) // 2 ** s
-            w_arr = Fraction(1, len(arrangements))
+            sums = [0] * n
             for arrangement in arrangements:
                 appearance = _appearance_numbers(arrangement)
                 for ranks in permutations(range(1, n + 1)):
-                    succ = _walk(arrangement, appearance, ranks, k, p, 0, None, 0)
-                    total += w_subset * w_arr * rank_weight * succ
+                    for k in range(1, n + 1):
+                        sums[k - 1] += _walk(arrangement, appearance, ranks, k, p, 0, None, 0)
+            weight = w_subset / (len(arrangements) * factorial(n))
+            totals = [total + weight * hits for total, hits in zip(totals, sums)]
     assert weight_seen == 1
-    return ExactResult(probability=total, instance=(n, p, k, "best"))
+    return tuple(totals)
 
 
 def _appearance_numbers(arrangement):
@@ -107,7 +117,7 @@ def _appearance_numbers(arrangement):
 def _walk(arrangement, appearance, ranks, k, p, t, lead, distinct):
     """Success probability continuing from event t; branches on the coin."""
     if t == len(arrangement):
-        return Fraction(0)
+        return 0
     c = arrangement[t]
     second = appearance[t] == 2
     rank = ranks[c]
@@ -121,11 +131,10 @@ def _walk(arrangement, appearance, ranks, k, p, t, lead, distinct):
         return _walk(arrangement, appearance, ranks, k, p, t + 1, lead, nxt)
 
     if second and c == lead:
-        return Fraction(int(rank == 1))
+        return int(rank == 1)
     if better:
         if second:
-            return Fraction(int(rank == 1))
-        accept = Fraction(int(rank == 1))
-        keep = _walk(arrangement, appearance, ranks, k, p, t + 1, c, distinct)
-        return (1 - p) * accept + p * keep
+            return int(rank == 1)
+        keep = p * _walk(arrangement, appearance, ranks, k, p, t + 1, c, distinct)
+        return 1 - p + keep if rank == 1 else keep
     return _walk(arrangement, appearance, ranks, k, p, t + 1, lead, distinct)

@@ -34,8 +34,19 @@ its key is the trial's smallest, and a top-3 hire when it is at most the
 third smallest.  At p = 0 only the first token of each candidate exists, so
 only the even shuffle keys ``[2n, 4n)`` are read and sorted.  The policy is
 evaluated without a loop over events: until it stops, its leader is the
-prefix minimum of the keys seen.  Trials are drawn in chunks of whole
-blocks, at least one trial per chunk.
+prefix minimum of the keys seen.  Trials are drawn in chunks, at least one
+trial per chunk, and the kernel reads each chunk as four views: rank keys,
+flags, shuffle keys and coins.
+
+At p in {0, 1} the flags and coins decide nothing (at p = 0 no flag is
+below p and every coin is below 1 - p; at p = 1 the reverse), so the
+kernel reads only ``[0, n)`` and ``[2n, 4n)``.  From n = ``_RANGED_MIN_N``
+on, only those ranges are drawn: Philox is counter-based, so each of a
+trial's two ranges is reached by setting the counter, and the rest of the
+block is never generated.  That costs four calls per trial, about 3 us,
+which pays once the 3n skipped uniforms cost more; below that n, and at
+every 0 < p < 1, a chunk is one draw of whole blocks.  The layout above is
+the same either way, so both paths give the same uniforms and reports.
 
 Ties are the one case where the kernel and the per-trial functions may
 disagree: two candidates with equal 53-bit rank keys (probability at most
@@ -46,6 +57,7 @@ same bound), may be ranked or ordered differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,12 +84,24 @@ __all__ = [
 ]
 
 _DRAWS_PER_CANDIDATE = 6
-# Uniforms drawn per vectorised chunk (64 MiB).  The budget covers the block
-# only; the event arrays built from it add at most as much again, and a
-# chunk peaks at 121 MiB in all, 96 MiB at p = 0 (measured with tracemalloc).
-# Past n = 2**23 // 6 one trial's block alone exceeds the budget and a chunk
-# holds that one trial, which peaks at 88 bytes per candidate.
+# Uniforms per vectorised chunk (64 MiB of whole blocks).  The budget covers
+# the block only; the event arrays built from it add at most as much again,
+# and a chunk peaks at 121 MiB in all (tracemalloc, n = 100, p = 0.5).  At p
+# in {0, 1} from n = _RANGED_MIN_N on, a chunk holds as many trials but draws
+# only their 3n read uniforms (plus 2 dropped when n is odd), and peaks at
+# 84 MiB at p = 1 and 53 MiB at p = 0 (n = 300 and 1000); sized by that draw
+# alone, twice the trials would peak at 165 MiB at p = 1.  Past
+# n = 2**23 // 6 a chunk holds one trial, which peaks at 88 bytes per
+# candidate (62 at p = 1, 40 at p = 0).
 _CHUNK_DOUBLES = 1 << 23
+# Smallest n at which p in {0, 1} draws only the read ranges, trial by trial.
+# That costs about 3 us of calls per trial (20 us under tracemalloc), so it
+# pays once the 3n uniforms it skips cost more.  Per trial, estimate() took
+# contiguous against ranged: 7.8 against 8.9 us at n = 128 (top-3), 14.6
+# against 12.3 at n = 192 and 15.6 against 13.4 at n = 256; 118 against 105
+# (best, p = 1) and 70 against 51 (top-3) at n = 1000; 676 against 458
+# (top-3) at n = 10000 (best of 7, numpy 2.4.6, 2-vCPU x86-64 VM).
+_RANGED_MIN_N = 256
 _TRIAL_BYTES_PER_CANDIDATE = 88
 
 
@@ -271,16 +295,21 @@ def estimate(
     check_working_set(n, _TRIAL_BYTES_PER_CANDIDATE, "one simulated trial")
 
     width = _block_width(n)
+    ranged = p in (0.0, 1.0) and n >= _RANGED_MIN_N
     chunk = max(1, _CHUNK_DOUBLES // width)
     gen = np.random.Generator(np.random.Philox(key=seed))
     successes = 0
     for done in range(0, trials, chunk):
-        block = gen.random((min(chunk, trials - done), width))
-        if objective == "top3":
-            successes += _top3_chunk_successes(block, n, k)
+        rows = min(chunk, trials - done)
+        if ranged:
+            draws = _draw_read_ranges(gen, done, rows, n)
         else:
-            successes += _best_chunk_successes(block, n, p, k)
-        del block  # free this chunk before the next one is drawn
+            draws = _split_block(gen.random((rows, width)), n, p)
+        if objective == "top3":
+            successes += _top3_chunk_successes(draws, k)
+        else:
+            successes += _best_chunk_successes(draws, p, k)
+        del draws  # free this chunk before the next one is drawn
 
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
@@ -289,7 +318,58 @@ def estimate(
     )
 
 
-def _event_keys(block: np.ndarray, n: int, p: float):
+class _Draws(NamedTuple):
+    """The four ranges of a chunk of trial blocks, one row per trial."""
+
+    rank_keys: np.ndarray  # [0, n)
+    flags: np.ndarray | None  # [n, 2n); None at p in {0, 1}, where they decide nothing
+    shuffle_keys: np.ndarray  # [2n, 4n)
+    coins: np.ndarray | None  # [4n, 6n); None at p in {0, 1}, where they decide nothing
+
+
+def _split_block(block: np.ndarray, n: int, p: float) -> _Draws:
+    """A chunk drawn as whole trial blocks, as views of its four ranges."""
+    if p in (0.0, 1.0):
+        return _Draws(block[:, :n], None, block[:, 2 * n:4 * n], None)
+    return _Draws(block[:, :n], block[:, n:2 * n], block[:, 2 * n:4 * n], block[:, 4 * n:6 * n])
+
+
+def _draw_read_ranges(gen: np.random.Generator, first: int, rows: int, n: int) -> _Draws:
+    """Trials ``first .. first + rows - 1``, drawing only the ranges read at p in {0, 1}.
+
+    Only ``[0, n)`` and ``[2n, 4n)`` of each block are drawn.  Each range is
+    reached by setting the Philox counter and dropping the buffered
+    uniforms: trial i's rank keys open step ``i * width / 4``, and its
+    shuffle keys start ``lead`` uniforms into step floor(2n/4) of the block;
+    those ``lead`` uniforms are drawn and dropped.  The state is set from
+    plain lists, which allocates next to nothing; ``advance`` builds about
+    ten objects per call and took 2-4 us (13-25 us under tracemalloc)
+    against 0.5-1.3 us (2-4 us).  A counter at or past 2**64, which would
+    take 2**66 uniforms to reach, raises OverflowError.
+    """
+    bit_gen = gen.bit_generator
+    state = bit_gen.state
+    state["state"]["key"] = state["state"]["key"].tolist()
+    counter = state["state"]["counter"] = [0, 0, 0, 0]
+    state["buffer"] = [0, 0, 0, 0]
+    state["buffer_pos"] = 4  # nothing buffered: the next draw starts at the counter
+    steps = _block_width(n) // 4
+    to_shuffle = 2 * n // 4
+    lead = 2 * n % 4
+    rank_keys = np.empty((rows, n))
+    shuffle = np.empty((rows, lead + 2 * n))
+    starts = range(first * steps, (first + rows) * steps, steps)
+    for start, keys_row, shuffle_row in zip(starts, rank_keys, shuffle):
+        counter[0] = start
+        bit_gen.state = state
+        gen.random(out=keys_row)
+        counter[0] = start + to_shuffle
+        bit_gen.state = state
+        gen.random(out=shuffle_row)
+    return _Draws(rank_keys, None, shuffle[:, lead:], None)
+
+
+def _event_keys(draws: _Draws, p: float):
     """Rank keys of each trial's events in arrival order, mirroring generate_sequence.
 
     Returns ``(x, second)``.  ``x[i, t]`` is the rank key of the candidate
@@ -299,20 +379,24 @@ def _event_keys(block: np.ndarray, n: int, p: float):
     the trial's events come the missing second tokens, each carrying its
     candidate's key unflagged, so no policy can accept one.
     """
-    t_cnt = block.shape[0]
-    rank_keys = np.ascontiguousarray(block[:, :n]).ravel()
+    t_cnt, n = draws.rank_keys.shape
+    rank_keys = np.ascontiguousarray(draws.rank_keys).ravel()
     if p == 0.0:
-        tok = np.argsort(block[:, 2 * n:4 * n:2], axis=1)
+        tok = np.argsort(draws.shuffle_keys[:, 0::2], axis=1)
         tok += np.arange(0, t_cnt * n, n)[:, None]  # flat candidate index
         return rank_keys.take(tok), None
 
-    keys = block[:, 2 * n:4 * n].copy()
-    single = block[:, n:2 * n] >= p
-    keys[:, 1::2][single] = np.inf  # missing second tokens sort to the tail
+    keys = draws.shuffle_keys.copy()
     later = np.empty(keys.shape, dtype=bool)  # the token is an existing second one
-    np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
-    np.logical_or(later[:, 0::2], single, out=later[:, 1::2])
-    np.logical_not(later[:, 1::2], out=later[:, 1::2])
+    if draws.flags is None:  # p = 1: every candidate returns
+        np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
+        np.logical_not(later[:, 0::2], out=later[:, 1::2])
+    else:
+        single = draws.flags >= p
+        keys[:, 1::2][single] = np.inf  # missing second tokens sort to the tail
+        np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
+        np.logical_or(later[:, 0::2], single, out=later[:, 1::2])
+        np.logical_not(later[:, 1::2], out=later[:, 1::2])
 
     tok = np.argsort(keys, axis=1)
     del keys
@@ -343,8 +427,8 @@ def _classical_hires(x: np.ndarray, k: int) -> np.ndarray:
     return _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
 
 
-def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
-    x, second = _event_keys(block, n, p)
+def _best_chunk_successes(draws: _Draws, p: float, k: int) -> int:
+    x, second = _event_keys(draws, p)
     if second is None:
         # p = 0: every event is a fresh candidate and every coin is < 1 - p
         hired = _classical_hires(x, k)
@@ -358,17 +442,20 @@ def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
         selecting = np.cumsum(~second[:, :-1], axis=1, dtype=np.int32) >= k
         leader = np.minimum.accumulate(x[:, :-1], axis=1)
         x_next = x[:, 1:]
-        accept = (x_next < leader) & (block[:, 4 * n + 1:6 * n] < 1.0 - p)
-        accept |= (x_next == leader) & second[:, 1:]
+        if draws.coins is None:  # p = 1: no coin is below 1 - p
+            accept = (x_next == leader) & second[:, 1:]
+        else:  # coin accept first: two bool temporaries at a time, not three
+            accept = (x_next < leader) & (draws.coins[:, 1:] < 1.0 - p)
+            accept |= (x_next == leader) & second[:, 1:]
         accept &= selecting
         hired = _hired_keys(x_next, accept)
         best = np.minimum(leader[:, -1], x[:, -1])
     return int(np.count_nonzero(hired == best))
 
 
-def _top3_chunk_successes(block: np.ndarray, n: int, k: int) -> int:
-    x, _ = _event_keys(block, n, 0.0)
+def _top3_chunk_successes(draws: _Draws, k: int) -> int:
+    x, _ = _event_keys(draws, 0.0)
     hired = _classical_hires(x, k)
-    kth = min(2, n - 1)  # below n = 3 every hire is a top-3 hire
-    third = np.partition(block[:, :n], kth, axis=1)[:, kth]
+    kth = min(2, x.shape[1] - 1)  # below n = 3 every hire is a top-3 hire
+    third = np.partition(draws.rank_keys, kth, axis=1)[:, kth]
     return int(np.count_nonzero(hired <= third))

@@ -199,6 +199,18 @@ PINNED_COUNTS = [
     (10_000, 1.0, 4700, 300, 20, "best", 235),
     (10_000, 0.0, 2600, 300, 17, "top3", 163),
     (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0),
+    # recorded before the p in {0, 1} kernel drew only the ranges it reads;
+    # n mod 4 in {1, 2, 3} puts the range starts off the Philox step grid, and
+    # 1500 trials span two chunks of 2**23 // (6 n) trials
+    (1001, 0.0, 368, 1_500, 30, "best", 523),
+    (1001, 0.0, 260, 1_500, 31, "top3", 906),
+    (1001, 1.0, 470, 1_500, 32, "best", 1125),
+    (1002, 0.0, 368, 1_500, 33, "best", 574),
+    (1002, 0.0, 260, 1_500, 34, "top3", 906),
+    (1002, 1.0, 470, 1_500, 35, "best", 1179),
+    (1003, 0.0, 368, 1_500, 36, "best", 548),
+    (1003, 0.0, 260, 1_500, 37, "top3", 910),
+    (1003, 1.0, 470, 1_500, 38, "best", 1172),
 ]
 
 
@@ -223,6 +235,76 @@ def test_report_independent_of_chunking(monkeypatch, p, k, objective):
         reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+RANGED_CASES = [
+    (n, p, objective)
+    for n in (1, 2, 3, 4, 5, 6, 7, 30)
+    for p, objective in ((0.0, "best"), (1.0, "best"), (0.0, "top3"))
+]
+
+
+@pytest.mark.parametrize("n,p,objective", RANGED_CASES)
+def test_ranged_draw_matches_contiguous_draw(monkeypatch, n, p, objective):
+    # below the cutoff the contiguous path runs; forcing the cutoff down makes
+    # the same chunk kernels read the ranges drawn trial by trial instead
+    trials, seed = 301, 23
+    k = n // 3 if objective == "top3" else max(1, n // 2)
+    contiguous = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+    monkeypatch.setattr(simulator, "_RANGED_MIN_N", 1)
+    draw = simulator._draw_read_ranges
+    chunks = []
+
+    def recording(gen, first, rows, n):
+        chunks.append(rows)
+        return draw(gen, first, rows, n)
+
+    monkeypatch.setattr(simulator, "_draw_read_ranges", recording)
+    width = simulator._block_width(n)
+    for budget, per_chunk in ((width, 1), (3 * width, 3), (simulator._CHUNK_DOUBLES, trials)):
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
+        chunks.clear()
+        ranged = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+        assert ranged == contiguous
+        assert sum(chunks) == trials
+        assert max(chunks) == per_chunk
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
+def test_ranged_draw_is_bit_identical_to_trial_streams(n):
+    seed, width = 29, simulator._block_width(n)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    # whatever the generator drew before, each chunk starts at its own trials
+    gen.random(7)
+    for first, rows in ((0, 2), (5, 3), (1, 1)):
+        draws = simulator._draw_read_ranges(gen, first, rows, n)
+        assert draws.flags is None and draws.coins is None
+        for row in range(rows):
+            block = trial_stream(seed, first + row, n).random(width)
+            assert draws.rank_keys[row].tobytes() == block[:n].tobytes()
+            assert draws.shuffle_keys[row].tobytes() == block[2 * n:4 * n].tobytes()
+
+
+@pytest.mark.parametrize("n", [4, simulator._RANGED_MIN_N - 1, simulator._RANGED_MIN_N])
+@pytest.mark.parametrize("p,objective", [(0.0, "best"), (1.0, "best"), (0.0, "top3")])
+def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
+    # a per-trial draw costs about 3 us in calls (20 us under tracemalloc);
+    # below the cutoff every chunk must come from one Generator.random call
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append(args)
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
+    width = simulator._block_width(n)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 4 whole blocks
+    estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
+    if n < simulator._RANGED_MIN_N:
+        assert calls == [((4, width),), ((4, width),), ((2, width),)]
+    else:
+        assert len(calls) == 2 * 10  # rank keys and shuffle keys, per trial
 
 
 def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
