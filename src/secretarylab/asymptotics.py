@@ -58,7 +58,7 @@ class LimitCurve:
             raise InvalidSpec("grid must be strictly increasing inside (0, 1)")
         if not np.isfinite(v).all():
             raise NonFinite(f"{self.label} curve contains non-finite values")
-        if self.label in ("upsilon", "f", "top3") and not (
+        if self.label in ("upsilon", "f") and not (
             (v >= -1e-3).all() and (v <= 1.0 + 1e-3).all()
         ):
             raise NonFinite(f"{self.label} curve left [0, 1] beyond integration tolerance")

@@ -147,15 +147,12 @@ def top3_solve(n: int):
               help="CSV fractional digits.")
 def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: int):
     """Write the full success-probability curve (k, probability)."""
+    _check_p(model, p)
     if model == "reappearance":
-        if p is None:
-            raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
         tables = build_tables(ProblemSpec(n=n, p=p))
         ks = range(1, n + 1)
         values = tables.f[1:].tolist()
     else:
-        if p not in (None, 0.0):
-            raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
         table = top3_table(n)
         ks = range(0, n)
         values = table.prob[:n].tolist()
@@ -175,27 +172,37 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
     _write(payload, out)
 
 
-def _table_check(computed_k: int, computed_v: float, k_ref: int, printed: str):
-    ok = computed_k == k_ref and abs(computed_v - float(printed)) <= printed_tolerance(printed)
-    return "pass" if ok else "FAIL"
+def _check_p(model: str, p: float | None):
+    """--p belongs to the re-arrival model; the top-3 model accepts it only as 0."""
+    if model == "reappearance" and p is None:
+        raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
+    if model == "top3" and p not in (None, 0.0):
+        raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+
+
+def _reproduce_table(fmt: str, name: str, key: str, references, solve):
+    """Solve each published row, check it against the print, and print the table.
+
+    ``solve`` maps a row's parameter (its ``key`` column) to (n, OptimalPolicy).
+    """
+    rows = []
+    for x, k_ref, printed in references:
+        n, pol = solve(x)
+        ok = pol.k_n == k_ref and abs(pol.value - float(printed)) <= printed_tolerance(printed)
+        rows.append({
+            key: x, "k_n": pol.k_n, "k_over_n": pol.k_n / n,
+            "probability": pol.value, "reference_k_n": k_ref,
+            "reference_probability": printed, "status": "pass" if ok else "FAIL",
+        })
+    _print_table(fmt, name, rows)
 
 
 @main.command("table1")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def table1(fmt: str):
     """Reproduce the published n=100 re-arrival table and check each row."""
-    rows = []
-    for p, k_ref, printed in TABLE1_ROWS:
-        pol = optimal_policy(ProblemSpec(n=100, p=p))
-        status = _table_check(pol.k_n, pol.value, k_ref, printed)
-        rows.append({
-            "p": p, "k_n": pol.k_n, "k_over_n": pol.k_n / 100,
-            "probability": pol.value, "reference_k_n": k_ref,
-            "reference_probability": printed, "status": status,
-        })
-    _print_table(fmt, "table1", rows,
-                 ("p", "k_n", "k_over_n", "probability", "reference_k_n",
-                  "reference_probability", "status"))
+    _reproduce_table(fmt, "table1", "p", TABLE1_ROWS,
+                     lambda p: (100, optimal_policy(ProblemSpec(n=100, p=p))))
 
 
 @main.command("table2")
@@ -203,25 +210,15 @@ def table1(fmt: str):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def table2(full: bool, fmt: str):
     """Reproduce the published top-3 table over n and check each row."""
-    todo = list(TABLE2_ROWS) + ([TABLE2_FULL_ROW] if full else [])
-    rows = []
-    for n, k_ref, printed in todo:
-        pol = optimal_policy_top3(n)
-        status = _table_check(pol.k_n, pol.value, k_ref, printed)
-        rows.append({
-            "n": n, "k_n": pol.k_n, "k_over_n": pol.k_n / n,
-            "probability": pol.value, "reference_k_n": k_ref,
-            "reference_probability": printed, "status": status,
-        })
-    _print_table(fmt, "table2", rows,
-                 ("n", "k_n", "k_over_n", "probability", "reference_k_n",
-                  "reference_probability", "status"))
+    todo = TABLE2_ROWS + ([TABLE2_FULL_ROW] if full else [])
+    _reproduce_table(fmt, "table2", "n", todo, lambda n: (n, optimal_policy_top3(n)))
 
 
-def _print_table(fmt: str, name: str, rows: list[dict], columns: tuple):
+def _print_table(fmt: str, name: str, rows: list[dict]):
     if fmt == "json":
         _emit(_record(name, {}, {"rows": rows}))
         return
+    columns = tuple(rows[0])
     cells = [[_fmt_cell(row[c]) for c in columns] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
@@ -248,8 +245,7 @@ def _fmt_cell(v) -> str:
               envvar="SECRETARYLAB_SEED", show_default=True, show_envvar=True)
 def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
     """Monte Carlo estimate of a policy's success probability."""
-    if model == "top3" and p != 0.0:
-        raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+    _check_p(model, p)
     objective = "top3" if model == "top3" else "best"
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     _emit(_record(
@@ -270,9 +266,8 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 @click.option("--epsilon", type=float, default=1e-4, show_default=True)
 def asymptotic(model: str, p: float | None, step: float, epsilon: float):
     """Limiting optimal threshold as n grows without bound."""
+    _check_p(model, p)
     if model == "top3":
-        if p is not None:
-            raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
         root = optimal_x_top3(1e-9)
         _emit(_record(
             "asymptotic",
@@ -284,8 +279,6 @@ def asymptotic(model: str, p: float | None, step: float, epsilon: float):
             },
         ))
         return
-    if p is None:
-        raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
     _, _, _, f_curve = integrate_limit_system(p, step=step, epsilon=epsilon)
     i = int(f_curve.values.argmax())
     _emit(_record(

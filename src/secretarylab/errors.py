@@ -42,7 +42,7 @@ class TooLarge(SecretaryLabError, ValueError):
 
 
 # Ceiling on the arrays one call may hold at its peak.  Every published size
-# fits far below it (top3_table at n = 1e7 peaks near 250 MB); a larger n is
+# fits far below it (top3_table at n = 1e7 peaks near 240 MB); a larger n is
 # refused before anything is allocated, instead of ending in a numpy memory
 # error or exhausting a machine that grants the allocation.
 MAX_WORKING_BYTES = 2 << 30

@@ -4,9 +4,10 @@ These enumerations are the ground truth the fast solvers and the simulator
 are checked against.  Everything is computed in exact rational arithmetic,
 so comparisons at 1e-12 are meaningful.
 
-For the re-arrival model the enumeration walks every reappearance subset
-(weighted p^s (1-p)^(n-s)), every rank assignment, and every arrangement of
-the appearance tokens (uniform over the multiset, each candidate's earlier
+For the re-arrival model the enumeration walks one reappearance subset of
+each size s (weighted C(n, s) p^s (1-p)^(n-s), as candidates are
+exchangeable), every rank assignment, and every arrangement of the
+appearance tokens (uniform over the multiset, each candidate's earlier
 token being its first appearance).  The fresh-leader coin is handled
 analytically by branching into accept (weight 1-p) and continue (weight p).
 """
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial
+from itertools import permutations
+from math import comb, factorial
 
 from .errors import IndexOutOfRange, InvalidSpec, TooLarge
 from .top3 import _check_n as _check_top3_n
@@ -80,27 +81,29 @@ def _reappearance_by_k(n: int, p: Fraction) -> tuple[Fraction, ...]:
     """Success probabilities of the thresholds k = 1..n, from one enumeration.
 
     Within one reappearance subset every (arrangement, ranks) pair has the
-    same weight, so the walks are summed first and weighted once.
+    same weight, so the walks are summed first and weighted once.  Every
+    rank assignment is enumerated, so candidates are exchangeable: all
+    C(n, s) subsets of s returning candidates give the same sums, and only
+    the subset {0, ..., s-1} is walked.
     """
     totals = [Fraction(0)] * n
     weight_seen = Fraction(0)
     for s in range(n + 1):
-        for subset in combinations(range(n), s):
-            w_subset = p ** s * (1 - p) ** (n - s)
-            weight_seen += w_subset
-            if w_subset == 0:
-                continue
-            tokens = tuple(sorted(tuple(range(n)) + subset))
-            arrangements = sorted(set(permutations(tokens)))
-            assert len(arrangements) == factorial(n + s) // 2 ** s
-            sums = [0] * n
-            for arrangement in arrangements:
-                appearance = _appearance_numbers(arrangement)
-                for ranks in permutations(range(1, n + 1)):
-                    for k in range(1, n + 1):
-                        sums[k - 1] += _walk(arrangement, appearance, ranks, k, p, 0, None, 0)
-            weight = w_subset / (len(arrangements) * factorial(n))
-            totals = [total + weight * hits for total, hits in zip(totals, sums)]
+        w_subsets = comb(n, s) * p ** s * (1 - p) ** (n - s)
+        weight_seen += w_subsets
+        if w_subsets == 0:
+            continue
+        tokens = tuple(sorted([*range(n), *range(s)]))
+        arrangements = sorted(set(permutations(tokens)))
+        assert len(arrangements) == factorial(n + s) // 2 ** s
+        sums = [0] * n
+        for arrangement in arrangements:
+            appearance = _appearance_numbers(arrangement)
+            for ranks in permutations(range(1, n + 1)):
+                for k in range(1, n + 1):
+                    sums[k - 1] += _walk(arrangement, appearance, ranks, k, p, 0, None, 0)
+        weight = w_subsets / (len(arrangements) * factorial(n))
+        totals = [total + weight * hits for total, hits in zip(totals, sums)]
     assert weight_seen == 1
     return tuple(totals)
 

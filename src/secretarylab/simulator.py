@@ -306,7 +306,9 @@ def estimate(
         else:
             draws = _split_block(gen.random((rows, width)), n, p)
         if objective == "top3":
-            successes += _top3_chunk_successes(draws, k)
+            successes += _classical_chunk_successes(draws, k, 3)
+        elif p == 0.0:  # every event is a fresh candidate and every coin is < 1 - p
+            successes += _classical_chunk_successes(draws, k, 1)
         else:
             successes += _best_chunk_successes(draws, p, k)
         del draws  # free this chunk before the next one is drawn
@@ -416,46 +418,41 @@ def _hired_keys(x: np.ndarray, accept: np.ndarray) -> np.ndarray:
     return np.where(hired, np.take_along_axis(x, first, axis=1), np.inf)[:, 0]
 
 
-def _classical_hires(x: np.ndarray, k: int) -> np.ndarray:
-    """Hired keys of the classical rule (see run_policy_top3).
+def _classical_chunk_successes(draws: _Draws, k: int, r: int) -> int:
+    """Trials in which the classical rule (see run_policy_top3) hires one of the r best.
 
     The rule takes the first event at position >= k that beats every
     earlier event.  Until it hires, the best key seen is the best of the
-    first k, so one comparison per event decides.
+    first k, so one comparison per event decides.  A hire is one of the
+    trial's keys or inf, so being at most the r-th smallest key means
+    ranking among the r best (below n = r, every hire does).
     """
+    x, _ = _event_keys(draws, 0.0)
     bar = x[:, :k].min(axis=1, initial=np.inf)
-    return _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
+    hired = _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
+    del bar  # before the partition copy: kept alive, it pinned the heap (peak RSS +3 MiB)
+    kth = min(r, x.shape[1]) - 1
+    rth = np.partition(draws.rank_keys, kth, axis=1)[:, kth]
+    return int(np.count_nonzero(hired <= rth))
 
 
 def _best_chunk_successes(draws: _Draws, p: float, k: int) -> int:
+    """Trials in which the re-arrival policy hires the best, at 0 < p <= 1."""
     x, second = _event_keys(draws, p)
-    if second is None:
-        # p = 0: every event is a fresh candidate and every coin is < 1 - p
-        hired = _classical_hires(x, k)
-        best = x.min(axis=1)
-    else:
-        # Until the policy stops, its leader is the best key seen so far (it
-        # moves only to a better fresh candidate it turns down), so from the
-        # second event on it is the prefix minimum.  Only a fresh candidate
-        # can beat it and only its own return can tie it.  Selection starts
-        # once k distinct candidates have been seen.
-        selecting = np.cumsum(~second[:, :-1], axis=1, dtype=np.int32) >= k
-        leader = np.minimum.accumulate(x[:, :-1], axis=1)
-        x_next = x[:, 1:]
-        if draws.coins is None:  # p = 1: no coin is below 1 - p
-            accept = (x_next == leader) & second[:, 1:]
-        else:  # coin accept first: two bool temporaries at a time, not three
-            accept = (x_next < leader) & (draws.coins[:, 1:] < 1.0 - p)
-            accept |= (x_next == leader) & second[:, 1:]
-        accept &= selecting
-        hired = _hired_keys(x_next, accept)
-        best = np.minimum(leader[:, -1], x[:, -1])
+    # Until the policy stops, its leader is the best key seen so far (it
+    # moves only to a better fresh candidate it turns down), so from the
+    # second event on it is the prefix minimum.  Only a fresh candidate
+    # can beat it and only its own return can tie it.  Selection starts
+    # once k distinct candidates have been seen.
+    selecting = np.cumsum(~second[:, :-1], axis=1, dtype=np.int32) >= k
+    leader = np.minimum.accumulate(x[:, :-1], axis=1)
+    x_next = x[:, 1:]
+    if draws.coins is None:  # p = 1: no coin is below 1 - p
+        accept = (x_next == leader) & second[:, 1:]
+    else:  # coin accept first: two bool temporaries at a time, not three
+        accept = (x_next < leader) & (draws.coins[:, 1:] < 1.0 - p)
+        accept |= (x_next == leader) & second[:, 1:]
+    accept &= selecting
+    hired = _hired_keys(x_next, accept)
+    best = np.minimum(leader[:, -1], x[:, -1])
     return int(np.count_nonzero(hired == best))
-
-
-def _top3_chunk_successes(draws: _Draws, k: int) -> int:
-    x, _ = _event_keys(draws, 0.0)
-    hired = _classical_hires(x, k)
-    kth = min(2, x.shape[1] - 1)  # below n = 3 every hire is a top-3 hire
-    third = np.partition(draws.rank_keys, kth, axis=1)[:, kth]
-    return int(np.count_nonzero(hired <= third))

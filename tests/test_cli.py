@@ -197,6 +197,7 @@ def test_asymptotic_top3(runner):
     rec = run_json(runner, ["asymptotic", "--model", "top3"])
     assert abs(rec["result"]["x_star"] - 0.2599) <= 1e-3
     assert abs(rec["result"]["probability"] - 0.5947) <= 1e-3
+    assert run_json(runner, ["asymptotic", "--model", "top3", "--p", "0"]) == rec
 
 
 def test_asymptotic_reappearance_p0(runner):
@@ -270,6 +271,10 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  id="asymptotic-p"),
     pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "1e-9", "--epsilon", "1e-3"],
                  ["step=1e-09"], id="asymptotic-step-floor"),
+    pytest.param(["curve", "--model", "top3", "--n", "10", "--p", "0.5"], ["--p"],
+                 id="curve-top3-p"),
+    pytest.param(["asymptotic", "--model", "top3", "--p", "0.5"], ["--p"],
+                 id="asymptotic-top3-p"),
     pytest.param(["curve", "--model", "top3", "--n", "10", "--out", "{missing}"],
                  ["--out", "{missing}"], id="curve-out"),
     pytest.param(["top3-solve", "--n", "1000000000000"], ["n=1000000000000"],

@@ -48,8 +48,8 @@ def test_recurrence_identity(n):
 
 
 def array_expression_table(n):
-    """top3_table's arithmetic written as plain array expressions, one fresh
-    temporary per operation: the in-place evaluation must match it bit for bit."""
+    """The telescoped recurrence prob[k] = k * sum_{j>=k} (1 - q(j)) / (j (j+1))
+    as plain array expressions, independent of top3_table's closed form."""
     karr = np.arange(n, dtype=np.float64)
     r = ((n - karr - 1.0) / n) * ((n - karr - 2.0) / (n - 1)) * ((n - karr - 3.0) / (n - 2))
     r += 0.0
@@ -64,9 +64,26 @@ def array_expression_table(n):
     return prob
 
 
+def sequential_table(n):
+    """The backward recurrence one k at a time, from prob[n] = 0."""
+    prob = [0.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        q = max(0.0, ((n - k - 1) / n) * ((n - k - 2) / (n - 1)) * ((n - k - 3) / (n - 2)))
+        prob[k] = (1.0 - q) / (k + 1) + k / (k + 1) * prob[k + 1]
+    return np.array(prob)
+
+
 @pytest.mark.parametrize("n", [4, 5, 10, 1000, 10**5])
-def test_in_place_evaluation_is_bit_identical(n):
-    assert np.array_equal(top3_table(n).prob, array_expression_table(n))
+def test_closed_form_matches_array_expression(n):
+    prob = top3_table(n).prob
+    ref = array_expression_table(n)
+    assert np.abs(prob - ref).max() <= 1e-13
+    assert np.argmax(prob[:n]) == np.argmax(ref[:n])
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 1000, 10**5])
+def test_closed_form_matches_sequential_recurrence(n):
+    assert np.abs(top3_table(n).prob - sequential_table(n)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 10, 100, 999, 10**5])
