@@ -147,7 +147,7 @@ def top3_solve(n: int):
               help="CSV fractional digits.")
 def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: int):
     """Write the full success-probability curve (k, probability)."""
-    _check_p(model, p)
+    p = _check_p(model, p)
     if model == "reappearance":
         tables = build_tables(ProblemSpec(n=n, p=p))
         ks = range(1, n + 1)
@@ -172,12 +172,18 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
     _write(payload, out)
 
 
-def _check_p(model: str, p: float | None):
-    """--p belongs to the re-arrival model; the top-3 model accepts it only as 0."""
+def _check_p(model: str, p: float | None) -> float:
+    """The p a record names: --p for the re-arrival model, 0.0 for the top-3 model.
+
+    --p belongs to the re-arrival model; the top-3 model accepts it only as 0.
+    """
     if model == "reappearance" and p is None:
         raise click.BadParameter("--p is required for the reappearance model", param_hint="--p")
-    if model == "top3" and p not in (None, 0.0):
-        raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+    if model == "top3":
+        if p not in (None, 0.0):
+            raise click.BadParameter("--p does not apply to the top-3 model", param_hint="--p")
+        return 0.0
+    return p
 
 
 def _reproduce_table(fmt: str, name: str, key: str, references, solve):
@@ -245,7 +251,7 @@ def _fmt_cell(v) -> str:
               envvar="SECRETARYLAB_SEED", show_default=True, show_envvar=True)
 def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
     """Monte Carlo estimate of a policy's success probability."""
-    _check_p(model, p)
+    p = _check_p(model, p)
     objective = "top3" if model == "top3" else "best"
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     _emit(_record(
@@ -266,12 +272,12 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 @click.option("--epsilon", type=float, default=1e-4, show_default=True)
 def asymptotic(model: str, p: float | None, step: float, epsilon: float):
     """Limiting optimal threshold as n grows without bound."""
-    _check_p(model, p)
+    p = _check_p(model, p)
     if model == "top3":
         root = optimal_x_top3(1e-9)
         _emit(_record(
             "asymptotic",
-            {"model": model},
+            {"model": model, "p": p},
             {
                 "x_star": root.x_star,
                 "probability": root.value_at_root,

@@ -9,7 +9,9 @@ each size s (weighted C(n, s) p^s (1-p)^(n-s), as candidates are
 exchangeable), every rank assignment, and every arrangement of the
 appearance tokens (uniform over the multiset, each candidate's earlier
 token being its first appearance).  The fresh-leader coin is handled
-analytically by branching into accept (weight 1-p) and continue (weight p).
+analytically by branching into accept (weight 1-p) and continue (weight p),
+so every probability is a polynomial in p and one enumeration per n serves
+every p.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, InvalidSpec, TooLarge
@@ -62,7 +64,7 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
 
     ``p`` may be a Fraction, int or float; floats are taken at their exact
     binary value.  Limited to n <= 4 (the token-arrangement count explodes).
-    One enumeration per (n, p) serves every k.
+    One enumeration per n serves every p and k.
     """
     if n > _MAX_REAPPEAR_N:
         raise TooLarge(f"exact re-arrival enumeration is limited to n <= {_MAX_REAPPEAR_N}")
@@ -73,39 +75,58 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
         raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
-    return ExactResult(probability=_reappearance_by_k(n, p)[k - 1], instance=(n, p, k, "best"))
+    probability = Fraction(0)
+    for c in reversed(_reappearance_polynomials(n)[k - 1]):
+        probability = probability * p + c
+    return ExactResult(probability=probability, instance=(n, p, k, "best"))
 
 
 @lru_cache(maxsize=None)
-def _reappearance_by_k(n: int, p: Fraction) -> tuple[Fraction, ...]:
-    """Success probabilities of the thresholds k = 1..n, from one enumeration.
+def _reappearance_polynomials(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Success probabilities of the thresholds k = 1..n as polynomials in p.
 
-    Within one reappearance subset every (arrangement, ranks) pair has the
-    same weight, so the walks are summed first and weighted once.  Every
-    rank assignment is enumerated, so candidates are exchangeable: all
-    C(n, s) subsets of s returning candidates give the same sums, and only
-    the subset {0, ..., s-1} is walked.
+    One enumeration serves every p: a walk's probability is a polynomial in
+    p with integer coefficients, and so is each subset weight.  Within one
+    reappearance subset every (arrangement, ranks) pair has the same
+    weight, so the walks are summed first and weighted once.  Every rank
+    assignment is enumerated, so candidates are exchangeable: all C(n, s)
+    subsets of s returning candidates give the same sums, and only the
+    subset {0, ..., s-1} is walked.  Coefficients are listed from p^0 up.
     """
-    totals = [Fraction(0)] * n
-    weight_seen = Fraction(0)
+    totals = [[Fraction(0)] * (2 * n + 1) for _ in range(n)]
+    weight_seen = ()
     for s in range(n + 1):
-        w_subsets = comb(n, s) * p ** s * (1 - p) ** (n - s)
-        weight_seen += w_subsets
-        if w_subsets == 0:
-            continue
+        # C(n, s) p^s (1 - p)^(n - s)
+        w_subsets = [0] * s + [comb(n, s) * comb(n - s, j) * (-1) ** j for j in range(n - s + 1)]
+        weight_seen = _add(weight_seen, w_subsets)
         tokens = tuple(sorted([*range(n), *range(s)]))
         arrangements = sorted(set(permutations(tokens)))
         assert len(arrangements) == factorial(n + s) // 2 ** s
-        sums = [0] * n
+        sums = [[0] * (n + 1) for _ in range(n)]  # a walk meets at most n coins
         for arrangement in arrangements:
             appearance = _appearance_numbers(arrangement)
             for ranks in permutations(range(1, n + 1)):
-                for k in range(1, n + 1):
-                    sums[k - 1] += _walk(arrangement, appearance, ranks, k, p, 0, None, 0)
-        weight = w_subsets / (len(arrangements) * factorial(n))
-        totals = [total + weight * hits for total, hits in zip(totals, sums)]
-    assert weight_seen == 1
-    return tuple(totals)
+                for k, acc in enumerate(sums, start=1):
+                    for i, c in enumerate(_walk(arrangement, appearance, ranks, k, 0, None, 0)):
+                        acc[i] += c
+        count = len(arrangements) * factorial(n)
+        for total, hits in zip(totals, sums):
+            for i, c in enumerate(_mul(w_subsets, hits)):
+                total[i] += Fraction(c, count)
+    assert weight_seen == (1,) + (0,) * n
+    return tuple(tuple(total) for total in totals)
+
+
+def _add(a, b) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _appearance_numbers(arrangement):
@@ -117,10 +138,14 @@ def _appearance_numbers(arrangement):
     return tuple(out)
 
 
-def _walk(arrangement, appearance, ranks, k, p, t, lead, distinct):
-    """Success probability continuing from event t; branches on the coin."""
+def _walk(arrangement, appearance, ranks, k, t, lead, distinct) -> tuple[int, ...]:
+    """Success probability continuing from event t, as coefficients of p^0, p^1, ...
+
+    Branches on the coin: a fresh leader is accepted w.p. 1 - p and turned
+    down, becoming the leader, w.p. p.
+    """
     if t == len(arrangement):
-        return 0
+        return ()
     c = arrangement[t]
     second = appearance[t] == 2
     rank = ranks[c]
@@ -131,13 +156,13 @@ def _walk(arrangement, appearance, ranks, k, p, t, lead, distinct):
         if better:
             lead = c
         nxt = distinct + (0 if second else 1)
-        return _walk(arrangement, appearance, ranks, k, p, t + 1, lead, nxt)
+        return _walk(arrangement, appearance, ranks, k, t + 1, lead, nxt)
 
     if second and c == lead:
-        return int(rank == 1)
+        return (1,) if rank == 1 else ()
     if better:
         if second:
-            return int(rank == 1)
-        keep = p * _walk(arrangement, appearance, ranks, k, p, t + 1, c, distinct)
-        return 1 - p + keep if rank == 1 else keep
-    return _walk(arrangement, appearance, ranks, k, p, t + 1, lead, distinct)
+            return (1,) if rank == 1 else ()
+        keep = (0, *_walk(arrangement, appearance, ranks, k, t + 1, c, distinct))
+        return _add(keep, (1, -1)) if rank == 1 else keep
+    return _walk(arrangement, appearance, ranks, k, t + 1, lead, distinct)

@@ -25,6 +25,11 @@ With the layout fixed, a chunked vectorised run and a per-trial run on
 ``trial_stream(seed, i, n)`` produce identical outcomes bit for bit; trials
 are independent, so any execution order gives the same report.
 
+Chunks run on a thread pool, one worker per CPU the process may use.  Each
+chunk opens its own generator at its first trial's counter and returns its
+success count, and the report adds the counts, so it does not depend on
+the number of threads or the order in which chunks finish.
+
 Vectorised kernel
 -----------------
 ``estimate`` reads the same layout as the per-trial functions but never
@@ -56,6 +61,8 @@ same bound), may be ranked or ordered differently.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,16 +91,20 @@ __all__ = [
 ]
 
 _DRAWS_PER_CANDIDATE = 6
-# Uniforms per vectorised chunk (64 MiB of whole blocks).  The budget covers
-# the block only; the event arrays built from it add at most as much again,
-# and a chunk peaks at 121 MiB in all (tracemalloc, n = 100, p = 0.5).  At p
-# in {0, 1} from n = _RANGED_MIN_N on, a chunk holds as many trials but draws
-# only their 3n read uniforms (plus 2 dropped when n is odd), and peaks at
-# 84 MiB at p = 1 and 53 MiB at p = 0 (n = 300 and 1000); sized by that draw
-# alone, twice the trials would peak at 165 MiB at p = 1.  Past
-# n = 2**23 // 6 a chunk holds one trial, which peaks at 88 bytes per
-# candidate (62 at p = 1, 40 at p = 0).
-_CHUNK_DOUBLES = 1 << 23
+# Uniforms of all chunks in flight (16 MiB of whole blocks): each of the t
+# threads runs chunks of at most 1/t of it.  The budget covers the blocks
+# only; the event arrays built from them add at most as much again.  At
+# n = 100, p = 0.5 one chunk peaks at 30 MiB on one thread, and two chunks in
+# flight at 27 MiB together (tracemalloc).  At p in {0, 1} from
+# n = _RANGED_MIN_N on, a chunk holds as many trials but draws only their 3n
+# read uniforms (plus 2 dropped when n is odd); its event arrays grow with the
+# trials all the same.  There one thread peaks at 21 MiB at p = 1 and 13 MiB
+# at p = 0 (n = 300 and 1000), two threads at 19 and 11 MiB.  Past
+# n = 2**21 // 6 a block fills the budget, so a chunk holds one trial and runs
+# alone; it peaks at 88 bytes per candidate (62 at p = 1, 40 at p = 0).  A
+# budget of 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
+# mc-small-n benchmark (2-vCPU VM), against 65 MiB with this one.
+_CHUNK_DOUBLES = 1 << 21
 # Smallest n at which p in {0, 1} draws only the read ranges, trial by trial.
 # That costs about 3 us of calls per trial (20 us under tracemalloc), so it
 # pays once the 3n uniforms it skips cost more.  Per trial, estimate() took
@@ -103,6 +114,11 @@ _CHUNK_DOUBLES = 1 << 23
 # (top-3) at n = 10000 (best of 7, numpy 2.4.6, 2-vCPU x86-64 VM).
 _RANGED_MIN_N = 256
 _TRIAL_BYTES_PER_CANDIDATE = 88
+# One worker per CPU this process may run on.  numpy releases the GIL in the
+# Philox fill, the sorts, take, partition and ufunc loops, so chunks on
+# different threads overlap.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _block_width(n: int) -> int:
@@ -296,28 +312,56 @@ def estimate(
 
     width = _block_width(n)
     ranged = p in (0.0, 1.0) and n >= _RANGED_MIN_N
-    chunk = max(1, _CHUNK_DOUBLES // width)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    successes = 0
-    for done in range(0, trials, chunk):
-        rows = min(chunk, trials - done)
+
+    def chunk_successes(first: int, rows: int) -> int:
+        gen = trial_stream(seed, first, n)
         if ranged:
-            draws = _draw_read_ranges(gen, done, rows, n)
+            draws = _draw_read_ranges(gen, first, rows, n)
         else:
             draws = _split_block(gen.random((rows, width)), n, p)
         if objective == "top3":
-            successes += _classical_chunk_successes(draws, k, 3)
-        elif p == 0.0:  # every event is a fresh candidate and every coin is < 1 - p
-            successes += _classical_chunk_successes(draws, k, 1)
-        else:
-            successes += _best_chunk_successes(draws, p, k)
-        del draws  # free this chunk before the next one is drawn
+            return _classical_chunk_successes(draws, k, 3)
+        if p == 0.0:  # every event is a fresh candidate and every coin is < 1 - p
+            return _classical_chunk_successes(draws, k, 1)
+        return _best_chunk_successes(draws, p, k)
+
+    threads, rows = _schedule(trials, width)
+    firsts = itertools.accumulate(rows[:-1], initial=0)
+    if threads == 1:
+        successes = sum(map(chunk_successes, firsts, rows))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # about 7 ms to import
+
+        pool = ThreadPoolExecutor(threads)
+        try:
+            successes = sum(pool.map(chunk_successes, firsts, rows))
+        finally:  # after an error or interrupt, start no further chunk
+            pool.shutdown(cancel_futures=True)
 
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
     return SimulationReport(
         trials=trials, successes=successes, estimate=est, std_error=se, seed=seed
     )
+
+
+def _schedule(trials: int, width: int) -> tuple[int, list[int]]:
+    """Threads to run on, and the trials of each chunk, in trial order.
+
+    ``_CHUNK_DOUBLES`` bounds the uniforms of all chunks in flight: each of
+    ``threads`` workers holds at most its share, and a trial wider than
+    that share runs alone.  Several chunks come in a multiple of
+    ``threads`` with balanced rows, so no worker is left with a short tail;
+    a single chunk, or a single thread, runs in the caller's thread.
+    """
+    threads = max(1, min(_WORKERS, _CHUNK_DOUBLES // width))
+    per_chunk = max(1, _CHUNK_DOUBLES // (threads * width))
+    chunks = -(-trials // per_chunk)
+    if chunks == 1:
+        return 1, [trials]
+    chunks = min(trials, -(-chunks // threads) * threads)
+    size, extra = divmod(trials, chunks)
+    return threads, [size + 1] * extra + [size] * (chunks - extra)
 
 
 class _Draws(NamedTuple):

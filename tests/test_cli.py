@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import weakref
 
 import pytest
@@ -198,6 +199,21 @@ def test_asymptotic_top3(runner):
     assert abs(rec["result"]["x_star"] - 0.2599) <= 1e-3
     assert abs(rec["result"]["probability"] - 0.5947) <= 1e-3
     assert run_json(runner, ["asymptotic", "--model", "top3", "--p", "0"]) == rec
+
+
+@pytest.mark.parametrize("args", [
+    ["curve", "--model", "top3", "--n", "10", "--format", "json"],
+    ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10"],
+    ["asymptotic", "--model", "top3"],
+], ids=["curve", "simulate", "asymptotic"])
+def test_top3_records_write_p_as_zero(runner, args):
+    outputs = []
+    for p in ([], ["--p", "0"], ["--p", "-0.0"]):
+        result = runner.invoke(main, args + p)
+        assert result.exit_code == 0, result.output
+        assert re.search(r'"p": 0\.0[,}]', result.output), result.output
+        outputs.append(result.output)
+    assert outputs[1] == outputs[2] == outputs[0]
 
 
 def test_asymptotic_reappearance_p0(runner):

@@ -76,19 +76,26 @@ def test_reappearance_p1_matches_tables(n):
 
 
 def test_reappearance_frozen_values():
-    # regression anchors computed once from this enumeration
+    # regression anchors computed once from this enumeration, per (n, p) over
+    # k = 1..n; they were recorded when each p had its own enumeration, and
+    # the one enumeration per n, as polynomials in p, must reproduce them
+    F = Fraction
     expected = {
-        (Fraction(1, 4), 1): Fraction(415637, 917504),
-        (Fraction(1, 4), 2): Fraction(7213, 16128),
-        (Fraction(1, 4), 3): Fraction(28529, 86016),
-        (Fraction(1, 4), 4): Fraction(813, 7168),
-        (Fraction(1, 2), 1): Fraction(17779, 35840),
-        (Fraction(1, 2), 2): Fraction(1173, 2240),
-        (Fraction(1, 2), 3): Fraction(2027, 4480),
-        (Fraction(1, 2), 4): Fraction(577, 2240),
+        (2, F(1, 4)): (F(191, 384), F(17, 96)),
+        (2, F(1, 3)): (F(83, 162), F(13, 54)),
+        (2, F(1, 2)): (F(9, 16), F(3, 8)),
+        (2, F(1)): (F(5, 6), F(5, 6)),
+        (3, F(1, 4)): (F(17947, 36864), F(611, 1536), F(53, 384)),
+        (3, F(1, 3)): (F(361, 729), F(1043, 2430), F(77, 405)),
+        (3, F(1, 2)): (F(1019, 1920), F(81, 160), F(73, 240)),
+        (3, F(1)): (F(7, 9), F(5, 6), F(11, 15)),
+        (4, F(1, 4)): (F(415637, 917504), F(7213, 16128), F(28529, 86016), F(813, 7168)),
+        (4, F(1, 3)): (F(424057, 918540), F(858983, 1837080), F(2501, 6804), F(1789, 11340)),
+        (4, F(1, 2)): (F(17779, 35840), F(1173, 2240), F(2027, 4480), F(577, 2240)),
+        (4, F(1)): (F(3, 4), F(407, 504), F(337, 420), F(93, 140)),
     }
-    for (p, k), value in expected.items():
-        assert exact_reappearance(4, p, k).probability == value
+    for (n, p), values in expected.items():
+        assert tuple(exact_reappearance(n, p, k).probability for k in range(1, n + 1)) == values
 
 
 def test_reappearance_float_p_is_exact_dyadic():

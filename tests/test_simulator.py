@@ -1,3 +1,7 @@
+import concurrent.futures
+import sys
+import threading
+import time
 from itertools import permutations
 
 import numpy as np
@@ -220,6 +224,112 @@ def test_estimate_matches_pinned_counts(n, p, k, trials, seed, objective, succes
     assert report.successes == successes
 
 
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,successes", PINNED_COUNTS)
+def test_pinned_counts_independent_of_worker_count(
+    monkeypatch, n, p, k, trials, seed, objective, successes
+):
+    # a budget of at most a quarter of the trials spreads every row over
+    # several chunks, whatever the number of threads
+    width = simulator._block_width(n)
+    budget = min(simulator._CHUNK_DOUBLES, trials * width // 4)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+        assert report.successes == successes
+
+
+def refuse_pool(monkeypatch):
+    class RefusedPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RefusedPool)
+
+
+def test_single_chunk_starts_no_pool(monkeypatch):
+    n, width = 30, simulator._block_width(30)
+    expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    refuse_pool(monkeypatch)
+    assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+    # the refusal is reached as soon as two chunks run on two threads
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2000 * width)
+    with pytest.raises(AssertionError, match="thread pool"):
+        estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
+
+
+def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
+    n, trials, seed = 30, 7, 13
+    width = simulator._block_width(n)
+    expected = estimate(n=n, p=0.4, k=12, trials=trials, seed=seed)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * width - 4)  # one block fits, two do not
+    refuse_pool(monkeypatch)
+    kernel = simulator._best_chunk_successes
+    chunks = []
+
+    def recording(draws, p, k):
+        chunks.append((draws.rank_keys.shape[0], threading.get_ident()))
+        return kernel(draws, p, k)
+
+    monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
+    assert estimate(n=n, p=0.4, k=12, trials=trials, seed=seed) == expected
+    assert chunks == [(1, threading.get_ident())] * trials
+
+
+@pytest.mark.parametrize("n,p,objective,ranged", [
+    (4, 0.5, "best", False),
+    (30, 0.0, "top3", False),
+    (30, 1.0, "best", True),
+])
+def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective, ranged):
+    trials, seed, k = 200, 19, 2
+    width = simulator._block_width(n)
+    expected = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+    budget = 10 * width
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
+    monkeypatch.setattr(simulator, "_WORKERS", 3)  # more threads than a 2-CPU machine has CPUs
+    monkeypatch.setattr(simulator, "_RANGED_MIN_N", 1 if ranged else simulator._RANGED_MIN_N)
+    lock = threading.Lock()
+    doubles = {"in_flight": 0, "peak": 0}
+
+    def drawn(draw, rows_of):
+        # a chunk is in flight from its drawn uniforms until its kernel returns
+        def wrapped(*args):
+            with lock:
+                doubles["in_flight"] += rows_of(*args) * width
+                doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
+            time.sleep(0.001)  # hold the chunk so that others overlap it
+            return draw(*args)
+        return wrapped
+
+    def counted(kernel):
+        def wrapped(draws, *args):
+            try:
+                return kernel(draws, *args)
+            finally:
+                with lock:
+                    doubles["in_flight"] -= draws.rank_keys.shape[0] * width
+        return wrapped
+
+    monkeypatch.setattr(simulator, "_split_block",
+                        drawn(simulator._split_block, lambda block, n, p: block.shape[0]))
+    monkeypatch.setattr(simulator, "_draw_read_ranges",
+                        drawn(simulator._draw_read_ranges, lambda gen, first, rows, n: rows))
+    for name in ("_classical_chunk_successes", "_best_chunk_successes"):
+        monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report == expected
+    assert doubles["in_flight"] == 0
+    assert width <= doubles["peak"] <= budget
+
+
 @pytest.mark.parametrize("p,k,objective", [
     (0.0, 11, "best"),
     (0.4, 14, "best"),
@@ -252,6 +362,7 @@ def test_ranged_draw_matches_contiguous_draw(monkeypatch, n, p, objective):
     k = n // 3 if objective == "top3" else max(1, n // 2)
     contiguous = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     monkeypatch.setattr(simulator, "_RANGED_MIN_N", 1)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
     draw = simulator._draw_read_ranges
     chunks = []
 
@@ -261,13 +372,20 @@ def test_ranged_draw_matches_contiguous_draw(monkeypatch, n, p, objective):
 
     monkeypatch.setattr(simulator, "_draw_read_ranges", recording)
     width = simulator._block_width(n)
-    for budget, per_chunk in ((width, 1), (3 * width, 3), (simulator._CHUNK_DOUBLES, trials)):
+    # (budget, trials per chunk): one block leaves one thread; six give two
+    # threads three each, 101 chunks rounded up to 102 and balanced; the
+    # default budget holds every trial in one chunk
+    for budget, rows in (
+        (width, [1] * trials),
+        (6 * width, [2] * 5 + [3] * 97),
+        (simulator._CHUNK_DOUBLES, [trials]),
+    ):
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
         chunks.clear()
         ranged = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
         assert ranged == contiguous
         assert sum(chunks) == trials
-        assert max(chunks) == per_chunk
+        assert sorted(chunks) == rows  # threads finish chunks in any order
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
@@ -299,10 +417,12 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
 
     monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
     width = simulator._block_width(n)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 4 whole blocks
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 whole blocks per thread
     estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     if n < simulator._RANGED_MIN_N:
-        assert calls == [((4, width),), ((4, width),), ((2, width),)]
+        # 5 chunks of 2 rounded up to 6 and balanced, in any order
+        assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
     else:
         assert len(calls) == 2 * 10  # rank keys and shuffle keys, per trial
 
