@@ -28,7 +28,8 @@ are independent, so any execution order gives the same report.
 Chunks run on a thread pool, one worker per CPU the process may use.  Each
 chunk opens its own generator at its first trial's counter and returns its
 success count, and the report adds the counts, so it does not depend on
-the number of threads or the order in which chunks finish.
+the number of threads or the order in which chunks finish.  The pool is
+started by the first call that needs it and kept for later calls.
 
 Vectorised kernel
 -----------------
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,6 +121,17 @@ _TRIAL_BYTES_PER_CANDIDATE = 88
 # different threads overlap.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# (workers, ThreadPoolExecutor): started by the first estimate() that runs on
+# threads and kept, idle, for later calls.  A pool per call made peak RSS
+# unsteady: each new worker's first malloc could run before the previous
+# call's worker had exited and handed back its glibc arena, so it opened a
+# new arena, and the mc-small-n benchmark peaked near 65 or near 80 MiB
+# from one run to the next (2-vCPU VM).  With the same workers every call
+# it read 65.2-67.2 MiB over 8 runs.  The cost: a kept worker's arena may
+# hand a finished chunk's pages back and fault them in again for the next
+# one, which made mc-small-n passes about 0.07 s slower.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _block_width(n: int) -> int:
@@ -326,17 +339,11 @@ def estimate(
         return _best_chunk_successes(draws, p, k)
 
     threads, rows = _schedule(trials, width)
-    firsts = itertools.accumulate(rows[:-1], initial=0)
+    firsts = list(itertools.accumulate(rows[:-1], initial=0))
     if threads == 1:
         successes = sum(map(chunk_successes, firsts, rows))
     else:
-        from concurrent.futures import ThreadPoolExecutor  # about 7 ms to import
-
-        pool = ThreadPoolExecutor(threads)
-        try:
-            successes = sum(pool.map(chunk_successes, firsts, rows))
-        finally:  # after an error or interrupt, start no further chunk
-            pool.shutdown(cancel_futures=True)
+        successes = _run_on_threads(chunk_successes, firsts, rows, threads)
 
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
@@ -362,6 +369,60 @@ def _schedule(trials: int, width: int) -> tuple[int, list[int]]:
     chunks = min(trials, -(-chunks // threads) * threads)
     size, extra = divmod(trials, chunks)
     return threads, [size + 1] * extra + [size] * (chunks - extra)
+
+
+def _run_on_threads(run, firsts: list[int], rows: list[int], threads: int) -> int:
+    """Sum of ``run(first, rows)`` over the chunks, on ``threads`` pool workers.
+
+    Worker j runs chunks j, j + threads, ... one after another, so at most
+    ``threads`` chunks are in flight.  After an error or interrupt no
+    further chunk starts, and the call returns once the running ones end.
+    """
+    stop = threading.Event()
+
+    def lane(j: int) -> int:
+        successes = 0
+        try:
+            for first, count in zip(firsts[j::threads], rows[j::threads]):
+                if stop.is_set():
+                    break
+                successes += run(first, count)
+        except BaseException:
+            stop.set()
+            raise
+        return successes
+
+    pool = _thread_pool()
+    lanes = [pool.submit(lane, j) for j in range(threads)]
+    try:
+        return sum(f.result() for f in lanes)
+    finally:
+        stop.set()
+        for f in lanes:
+            f.exception()  # waits for the lane without raising
+
+
+def _thread_pool():
+    """The shared pool of ``_WORKERS`` threads, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != _WORKERS:
+            from concurrent.futures import ThreadPoolExecutor  # about 7 ms to import
+
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (_WORKERS, ThreadPoolExecutor(_WORKERS))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    """In a forked child, whose copy of the pool has no threads, start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class _Draws(NamedTuple):

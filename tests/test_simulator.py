@@ -1,4 +1,6 @@
 import concurrent.futures
+import os
+import signal
 import sys
 import threading
 import time
@@ -245,6 +247,7 @@ def refuse_pool(monkeypatch):
             raise AssertionError("started a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RefusedPool)
+    monkeypatch.setattr(simulator, "_pool", None)  # the shared pool is started anew
 
 
 def test_single_chunk_starts_no_pool(monkeypatch):
@@ -276,6 +279,42 @@ def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
     monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
     assert estimate(n=n, p=0.4, k=12, trials=trials, seed=seed) == expected
     assert chunks == [(1, threading.get_ident())] * trials
+
+
+def test_threaded_calls_share_the_pool_workers(monkeypatch):
+    # a pool per call let a new worker open a fresh malloc arena before the
+    # last call's worker had exited, so peak RSS differed from run to run
+    n, width = 30, simulator._block_width(30)
+    expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)  # 100 trials per chunk
+    kernel = simulator._best_chunk_successes
+    workers = set()
+
+    def recording(draws, p, k):
+        workers.add(threading.current_thread())
+        return kernel(draws, p, k)
+
+    monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
+    for _ in range(3):
+        assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+    assert 1 <= len(workers) <= 2
+    assert threading.current_thread() not in workers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    n, width = 30, simulator._block_width(30)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)
+    expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)  # starts the pool
+    pid = os.fork()
+    if pid == 0:  # the child's copy of the pool has no threads to run chunks
+        signal.alarm(30)
+        same = estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+        os._exit(0 if same else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("n,p,objective,ranged", [
