@@ -27,7 +27,7 @@ from . import __version__
 from .asymptotics import integrate_limit_system, optimal_x_top3
 from .errors import SecretaryLabError
 from .reappearance import ProblemSpec, build_tables, optimal_policy
-from .simulator import estimate
+from .simulator import STREAM_LAYOUT, estimate
 from .top3 import optimal_policy_top3, top3_table
 
 # Published reference rows (n=100 for the re-arrival model).  Probabilities
@@ -84,12 +84,12 @@ def _emit(record: dict):
     _write(json.dumps(record) + "\n")
 
 
-def _record(command: str, parameters: dict, result: dict) -> dict:
+def _record(command: str, parameters: dict, result: dict, **provenance) -> dict:
     return {
         "command": command,
         "parameters": parameters,
         "result": result,
-        "provenance": {"tool": "secretarylab", "version": __version__},
+        "provenance": {"tool": "secretarylab", "version": __version__, **provenance},
     }
 
 
@@ -262,6 +262,7 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
             "estimate": report.estimate,
             "std_error": report.std_error,
         },
+        stream_layout=STREAM_LAYOUT,
     ))
 
 

@@ -6,12 +6,13 @@ flag per candidate, and a uniformly random order of all appearance tokens
 (each candidate's earlier token is relabelled appearance 1).  Policies see
 only relative ranks.
 
-Reproducibility contract
-------------------------
+Reproducibility contract (stream layout 2)
+------------------------------------------
 All randomness comes from a Philox counter-based generator keyed by the
-seed.  Each trial owns a block of ``6 n`` uniforms, padded up to a whole
-number of Philox counter steps (4 outputs each); trial ``i``'s block starts
-at counter ``i * block_width / 4``.  Within a block:
+seed.  Each trial owns a block of the uniforms that can decide its
+outcome, padded up to a whole number of Philox counter steps (4 outputs
+each); trial ``i``'s block starts at counter ``i * _block_width(n, p) / 4``.
+At 0 < p < 1 a block holds 6n uniforms:
 
     [0,   n)   rank keys: candidate c's rank is the position of its key in
                ascending order, plus one
@@ -21,15 +22,23 @@ at counter ``i * block_width / 4``.  Within a block:
     [4n, 6n)   policy coins, indexed by event position; the coin at event
                t is consumed only when a fresh leader arrives there
 
+At p in {0, 1} the flags and coins decide nothing (at p = 0 no candidate
+returns and every fresh leader is accepted; at p = 1 the reverse), so a
+block holds 3n uniforms, the rank keys ``[0, n)`` and the shuffle keys
+``[n, 3n)``.  Layout 1 used the 6n block at every p (from n = 256 the p in
+{0, 1} runs drew only their rank and shuffle keys, trial by trial); reports
+at 0 < p < 1 are the same under both, those at p in {0, 1} differ.
+
 With the layout fixed, a chunked vectorised run and a per-trial run on
-``trial_stream(seed, i, n)`` produce identical outcomes bit for bit; trials
-are independent, so any execution order gives the same report.
+``trial_stream(seed, i, n, p)`` produce identical outcomes bit for bit;
+trials are independent, so any execution order gives the same report.
 
 Chunks run on a thread pool, one worker per CPU the process may use.  Each
-chunk opens its own generator at its first trial's counter and returns its
-success count, and the report adds the counts, so it does not depend on
-the number of threads or the order in which chunks finish.  The pool is
-started by the first call that needs it and kept for later calls.
+chunk opens its own generator at its first trial's counter, draws its
+trials' blocks in one call and returns its success count, and the report
+adds the counts, so it does not depend on the number of threads or the
+order in which chunks finish.  The pool is started by the first call that
+needs it and kept for later calls.
 
 Vectorised kernel
 -----------------
@@ -38,21 +47,10 @@ turns rank keys into ranks: both policies only compare ranks, so each
 event carries its candidate's rank key, a hire is the best candidate when
 its key is the trial's smallest, and a top-3 hire when it is at most the
 third smallest.  At p = 0 only the first token of each candidate exists, so
-only the even shuffle keys ``[2n, 4n)`` are read and sorted.  The policy is
-evaluated without a loop over events: until it stops, its leader is the
-prefix minimum of the keys seen.  Trials are drawn in chunks, at least one
-trial per chunk, and the kernel reads each chunk as four views: rank keys,
-flags, shuffle keys and coins.
-
-At p in {0, 1} the flags and coins decide nothing (at p = 0 no flag is
-below p and every coin is below 1 - p; at p = 1 the reverse), so the
-kernel reads only ``[0, n)`` and ``[2n, 4n)``.  From n = ``_RANGED_MIN_N``
-on, only those ranges are drawn: Philox is counter-based, so each of a
-trial's two ranges is reached by setting the counter, and the rest of the
-block is never generated.  That costs four calls per trial, about 3 us,
-which pays once the 3n skipped uniforms cost more; below that n, and at
-every 0 < p < 1, a chunk is one draw of whole blocks.  The layout above is
-the same either way, so both paths give the same uniforms and reports.
+only the even shuffle keys are read and sorted.  The policy is evaluated
+without a loop over events: until it stops, its leader is the prefix
+minimum of the keys seen.  Trials are drawn in chunks, at least one trial
+per chunk, and the kernel reads each chunk as views of its ranges.
 
 Ties are the one case where the kernel and the per-trial functions may
 disagree: two candidates with equal 53-bit rank keys (probability at most
@@ -81,6 +79,7 @@ from .errors import (
 from .reappearance import ProblemSpec
 
 __all__ = [
+    "STREAM_LAYOUT",
     "ArrivalEvent",
     "ArrivalSequence",
     "TrialOutcome",
@@ -92,29 +91,20 @@ __all__ = [
     "trial_stream",
 ]
 
-_DRAWS_PER_CANDIDATE = 6
-# Uniforms of all chunks in flight (16 MiB of whole blocks): each of the t
-# threads runs chunks of at most 1/t of it.  The budget covers the blocks
-# only; the event arrays built from them add at most as much again.  At
-# n = 100, p = 0.5 one chunk peaks at 30 MiB on one thread, and two chunks in
-# flight at 27 MiB together (tracemalloc).  At p in {0, 1} from
-# n = _RANGED_MIN_N on, a chunk holds as many trials but draws only their 3n
-# read uniforms (plus 2 dropped when n is odd); its event arrays grow with the
-# trials all the same.  There one thread peaks at 21 MiB at p = 1 and 13 MiB
-# at p = 0 (n = 300 and 1000), two threads at 19 and 11 MiB.  Past
-# n = 2**21 // 6 a block fills the budget, so a chunk holds one trial and runs
-# alone; it peaks at 88 bytes per candidate (62 at p = 1, 40 at p = 0).  A
-# budget of 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
+STREAM_LAYOUT = 2  # see the module docstring
+# Uniforms of all chunks in flight (16 MiB of 6n blocks): each of the t
+# threads runs chunks of at most 1/t of it.  Chunks are sized by the 6n block
+# at every p: at p in {0, 1} a chunk draws only 3n uniforms per trial, but its
+# event arrays grow with the trials all the same.  The budget covers the
+# blocks only; the event arrays built from them add at most as much again.
+# All chunks in flight peak together at 28 MiB at n = 100, p = 0.5, at 20 MiB
+# at n = 1000, p = 1 and at 13 and 12 MiB for top-3 at n = 1000 and 10000,
+# on one thread and on two alike (tracemalloc).  Past n = 2**21 // 6 a 6n
+# block fills the budget, so a chunk holds one trial and runs alone; it peaks
+# at 88 bytes per candidate (62 at p = 1, 40 at p = 0; n = 1e6).  A budget of
+# 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
 # mc-small-n benchmark (2-vCPU VM), against 65 MiB with this one.
 _CHUNK_DOUBLES = 1 << 21
-# Smallest n at which p in {0, 1} draws only the read ranges, trial by trial.
-# That costs about 3 us of calls per trial (20 us under tracemalloc), so it
-# pays once the 3n uniforms it skips cost more.  Per trial, estimate() took
-# contiguous against ranged: 7.8 against 8.9 us at n = 128 (top-3), 14.6
-# against 12.3 at n = 192 and 15.6 against 13.4 at n = 256; 118 against 105
-# (best, p = 1) and 70 against 51 (top-3) at n = 1000; 676 against 458
-# (top-3) at n = 10000 (best of 7, numpy 2.4.6, 2-vCPU x86-64 VM).
-_RANGED_MIN_N = 256
 _TRIAL_BYTES_PER_CANDIDATE = 88
 # One worker per CPU this process may run on.  numpy releases the GIL in the
 # Philox fill, the sorts, take, partition and ufunc loops, so chunks on
@@ -134,9 +124,14 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _block_width(n: int) -> int:
-    """Uniforms reserved per trial: 6n, padded to whole Philox counter steps."""
-    return -(-_DRAWS_PER_CANDIDATE * n // 4) * 4
+def _block_width(n: int, p: float) -> int:
+    """Uniforms in a trial's block, padded to whole Philox counter steps.
+
+    6n at 0 < p < 1; 3n at p in {0, 1}, where the flags and coins decide
+    nothing and the block holds only rank keys and shuffle keys.
+    """
+    draws = (3 if p in (0.0, 1.0) else 6) * n
+    return -(-draws // 4) * 4
 
 
 @dataclass(frozen=True)
@@ -200,19 +195,23 @@ class SimulationReport:
     seed: int
 
 
-def trial_stream(seed: int, index: int, n: int) -> np.random.Generator:
+def trial_stream(seed: int, index: int, n: int, p: float) -> np.random.Generator:
     """The per-trial generator: Philox(seed) positioned at trial ``index``'s block."""
-    counter = index * _block_width(n) // 4
+    counter = index * _block_width(n, p) // 4
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequence:
-    """Draw one arrival sequence; consumes exactly 4n uniforms from ``rng``."""
+    """Draw one arrival sequence.
+
+    Consumes n rank keys, then (only at 0 < p < 1) n flags, then 2n shuffle
+    keys from ``rng``: 4n uniforms, or 3n at p in {0, 1}, where every flag
+    is ``p == 1``.
+    """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
-    u = rng.random(4 * n)
-    rank_keys = u[:n]
-    flags = u[n:2 * n] < p
-    shuffle_keys = u[2 * n:4 * n]
+    rank_keys = rng.random(n)
+    flags = rng.random(n) < p if 0.0 < p < 1.0 else np.full(n, p == 1.0)
+    shuffle_keys = rng.random(2 * n)
 
     order = np.argsort(rank_keys)
     ranks = np.empty(n, dtype=np.int64)
@@ -241,13 +240,15 @@ def run_policy_reappearance(
     seen, rejecting everything while tracking the leader.  Selection phase:
     accept the leader's return; accept a fresh leader with probability 1-p
     (on rejection it becomes the new leader); accept a better candidate's
-    second arrival.  Consumes a block of 2n uniforms from ``rng`` up front;
-    the coin for the event at position t is block[t].
+    second arrival.  At 0 < p < 1 consumes a block of 2n uniforms from
+    ``rng`` up front, and the coin for the event at position t is block[t];
+    at p in {0, 1} the coin decides nothing and none is drawn.
     """
     n = seq.n
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
-    coins = rng.random(2 * n)
+    # every coin p accepts a fresh leader at p = 0 and never at p = 1
+    coins = rng.random(2 * n) if 0.0 < p < 1.0 else np.full(2 * n, p)
 
     distinct = 0
     lead_cand = None
@@ -323,22 +324,17 @@ def estimate(
             raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
     check_working_set(n, _TRIAL_BYTES_PER_CANDIDATE, "one simulated trial")
 
-    width = _block_width(n)
-    ranged = p in (0.0, 1.0) and n >= _RANGED_MIN_N
+    width = _block_width(n, p)
 
     def chunk_successes(first: int, rows: int) -> int:
-        gen = trial_stream(seed, first, n)
-        if ranged:
-            draws = _draw_read_ranges(gen, first, rows, n)
-        else:
-            draws = _split_block(gen.random((rows, width)), n, p)
+        draws = _split_block(trial_stream(seed, first, n, p).random((rows, width)), n, p)
         if objective == "top3":
             return _classical_chunk_successes(draws, k, 3)
         if p == 0.0:  # every event is a fresh candidate and every coin is < 1 - p
             return _classical_chunk_successes(draws, k, 1)
         return _best_chunk_successes(draws, p, k)
 
-    threads, rows = _schedule(trials, width)
+    threads, rows = _schedule(trials, n)
     firsts = list(itertools.accumulate(rows[:-1], initial=0))
     if threads == 1:
         successes = sum(map(chunk_successes, firsts, rows))
@@ -352,15 +348,17 @@ def estimate(
     )
 
 
-def _schedule(trials: int, width: int) -> tuple[int, list[int]]:
+def _schedule(trials: int, n: int) -> tuple[int, list[int]]:
     """Threads to run on, and the trials of each chunk, in trial order.
 
-    ``_CHUNK_DOUBLES`` bounds the uniforms of all chunks in flight: each of
-    ``threads`` workers holds at most its share, and a trial wider than
-    that share runs alone.  Several chunks come in a multiple of
-    ``threads`` with balanced rows, so no worker is left with a short tail;
-    a single chunk, or a single thread, runs in the caller's thread.
+    ``_CHUNK_DOUBLES`` bounds the 6n blocks of all chunks in flight, at
+    every p: each of ``threads`` workers holds at most its share, and a
+    trial wider than that share runs alone.  Several chunks come in a
+    multiple of ``threads`` with balanced rows, so no worker is left with a
+    short tail; a single chunk, or a single thread, runs in the caller's
+    thread.
     """
+    width = _block_width(n, 0.5)  # the 6n block
     threads = max(1, min(_WORKERS, _CHUNK_DOUBLES // width))
     per_chunk = max(1, _CHUNK_DOUBLES // (threads * width))
     chunks = -(-trials // per_chunk)
@@ -426,54 +424,21 @@ if hasattr(os, "register_at_fork"):
 
 
 class _Draws(NamedTuple):
-    """The four ranges of a chunk of trial blocks, one row per trial."""
+    """A chunk of trial blocks, one row per trial, and views of its ranges."""
 
-    rank_keys: np.ndarray  # [0, n)
-    flags: np.ndarray | None  # [n, 2n); None at p in {0, 1}, where they decide nothing
-    shuffle_keys: np.ndarray  # [2n, 4n)
-    coins: np.ndarray | None  # [4n, 6n); None at p in {0, 1}, where they decide nothing
+    block: np.ndarray
+    rank_keys: np.ndarray
+    flags: np.ndarray | None  # None at p in {0, 1}, where the block has none
+    shuffle_keys: np.ndarray
+    coins: np.ndarray | None  # None at p in {0, 1}, where the block has none
 
 
 def _split_block(block: np.ndarray, n: int, p: float) -> _Draws:
-    """A chunk drawn as whole trial blocks, as views of its four ranges."""
+    """A chunk of whole trial blocks, with views of its ranges."""
     if p in (0.0, 1.0):
-        return _Draws(block[:, :n], None, block[:, 2 * n:4 * n], None)
-    return _Draws(block[:, :n], block[:, n:2 * n], block[:, 2 * n:4 * n], block[:, 4 * n:6 * n])
-
-
-def _draw_read_ranges(gen: np.random.Generator, first: int, rows: int, n: int) -> _Draws:
-    """Trials ``first .. first + rows - 1``, drawing only the ranges read at p in {0, 1}.
-
-    Only ``[0, n)`` and ``[2n, 4n)`` of each block are drawn.  Each range is
-    reached by setting the Philox counter and dropping the buffered
-    uniforms: trial i's rank keys open step ``i * width / 4``, and its
-    shuffle keys start ``lead`` uniforms into step floor(2n/4) of the block;
-    those ``lead`` uniforms are drawn and dropped.  The state is set from
-    plain lists, which allocates next to nothing; ``advance`` builds about
-    ten objects per call and took 2-4 us (13-25 us under tracemalloc)
-    against 0.5-1.3 us (2-4 us).  A counter at or past 2**64, which would
-    take 2**66 uniforms to reach, raises OverflowError.
-    """
-    bit_gen = gen.bit_generator
-    state = bit_gen.state
-    state["state"]["key"] = state["state"]["key"].tolist()
-    counter = state["state"]["counter"] = [0, 0, 0, 0]
-    state["buffer"] = [0, 0, 0, 0]
-    state["buffer_pos"] = 4  # nothing buffered: the next draw starts at the counter
-    steps = _block_width(n) // 4
-    to_shuffle = 2 * n // 4
-    lead = 2 * n % 4
-    rank_keys = np.empty((rows, n))
-    shuffle = np.empty((rows, lead + 2 * n))
-    starts = range(first * steps, (first + rows) * steps, steps)
-    for start, keys_row, shuffle_row in zip(starts, rank_keys, shuffle):
-        counter[0] = start
-        bit_gen.state = state
-        gen.random(out=keys_row)
-        counter[0] = start + to_shuffle
-        bit_gen.state = state
-        gen.random(out=shuffle_row)
-    return _Draws(rank_keys, None, shuffle[:, lead:], None)
+        return _Draws(block, block[:, :n], None, block[:, n:3 * n], None)
+    return _Draws(block, block[:, :n], block[:, n:2 * n], block[:, 2 * n:4 * n],
+                  block[:, 4 * n:6 * n])
 
 
 def _event_keys(draws: _Draws, p: float):
@@ -487,10 +452,11 @@ def _event_keys(draws: _Draws, p: float):
     candidate's key unflagged, so no policy can accept one.
     """
     t_cnt, n = draws.rank_keys.shape
-    rank_keys = np.ascontiguousarray(draws.rank_keys).ravel()
+    width = draws.block.shape[1]
+    rank_keys = draws.block.ravel()  # candidate c of trial i at i * width + c
     if p == 0.0:
         tok = np.argsort(draws.shuffle_keys[:, 0::2], axis=1)
-        tok += np.arange(0, t_cnt * n, n)[:, None]  # flat candidate index
+        tok += np.arange(0, t_cnt * width, width)[:, None]  # flat block index
         return rank_keys.take(tok), None
 
     keys = draws.shuffle_keys.copy()
@@ -510,7 +476,8 @@ def _event_keys(draws: _Draws, p: float):
     tok += np.arange(0, t_cnt * 2 * n, 2 * n)[:, None]  # flat token index
     second = later.ravel().take(tok)
     del later
-    tok >>= 1  # flat candidate index
+    tok >>= 1  # i * n + c
+    tok += np.arange(0, t_cnt * (width - n), width - n)[:, None]  # flat block index
     return rank_keys.take(tok), second
 
 

@@ -156,6 +156,7 @@ def test_simulate_classical(runner):
     est = rec["result"]["estimate"]
     se = rec["result"]["std_error"]
     assert abs(est - 0.371) <= 3 * se + 5e-4
+    assert rec["provenance"]["stream_layout"] == 2
 
 
 def test_simulate_top3_published_run(runner):

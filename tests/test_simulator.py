@@ -40,6 +40,26 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def six_n_block(n):
+    """The 6n block by which estimate() sizes its chunks, at every p."""
+    return simulator._block_width(n, 0.5)
+
+
+def per_trial_successes(n, p, k, trials, seed, objective):
+    """Successes of ``trials`` trials run one at a time, each on its own trial_stream."""
+    successes = 0
+    for i in range(trials):
+        g = trial_stream(seed, i, n, p)
+        seq = generate_sequence(n, p, g)
+        if objective == "top3":
+            out = run_policy_top3(seq, k)
+            successes += out.chosen_rank is not None and out.chosen_rank <= 3
+        else:
+            out = run_policy_reappearance(seq, k, p, g)
+            successes += out.chosen_rank == 1
+    return successes
+
+
 def test_generate_no_reappearance():
     seq = generate_sequence(5, 0.0, rng(1))
     assert len(seq.events) == 5
@@ -148,75 +168,79 @@ def test_policy_reappearance_sanity():
             assert out.chosen_rank <= min(ev.rank for ev in prefix)
 
 
-@pytest.mark.parametrize(
-    "n,p,k,objective",
-    [
-        (4, 0.25, 2, "best"),
-        (6, 0.3, 3, "best"),
-        (5, 1.0, 2, "best"),
-        (5, 0.0, 2, "best"),
-        (6, 0.0, 2, "top3"),
-        (9, 0.0, 0, "top3"),
-        (3, 0.0, 2, "top3"),
-        (1, 0.5, 1, "best"),
-        (200, 0.0, 74, "best"),
-        (200, 0.5, 110, "best"),
-        (200, 1.0, 94, "best"),
-    ],
-)
-def test_estimate_matches_per_trial_composition(n, p, k, objective):
-    trials, seed = (100, 98) if n >= 200 else (500, 97)
+COMPOSITION_CASES = [
+    (4, 0.25, 2, "best"),
+    (6, 0.3, 3, "best"),
+    (5, 1.0, 2, "best"),
+    (5, 0.0, 2, "best"),
+    (6, 0.0, 2, "top3"),
+    (9, 0.0, 0, "top3"),
+    (3, 0.0, 2, "top3"),
+    (1, 0.5, 1, "best"),
+    (200, 0.0, 74, "best"),
+    (200, 0.5, 110, "best"),
+    (200, 1.0, 94, "best"),
+]
+# at p in {0, 1} a block holds 3n uniforms, so n mod 4 in {1, 2, 3} pads it
+# by 1, 2 and 3 uniforms to the Philox step grid
+COMPOSITION_CASES += [
+    case
+    for n in (1, 2, 3, 5, 6, 7, 1001, 1002, 1003)
+    for p, objective in ((0.0, "best"), (1.0, "best"), (0.0, "top3"))
+    for case in [(n, p, n // 3 if objective == "top3" else max(1, n // 2), objective)]
+    if case not in COMPOSITION_CASES
+]
+
+
+@pytest.mark.parametrize("n,p,k,objective", COMPOSITION_CASES)
+def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective):
+    trials, seed = (60, 99) if n >= 1000 else (100, 98) if n >= 200 else (500, 97)
+    successes = per_trial_successes(n, p, k, trials, seed, objective)
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
-    successes = 0
-    for i in range(trials):
-        g = trial_stream(seed, i, n)
-        seq = generate_sequence(n, p, g)
-        if objective == "top3":
-            out = run_policy_top3(seq, k)
-            successes += out.chosen_rank is not None and out.chosen_rank <= 3
-        else:
-            out = run_policy_reappearance(seq, k, p, g)
-            successes += out.chosen_rank == 1
+    assert report.successes == successes
+    # six blocks on two threads: chunks of three trials, or two at the tail
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 6 * six_n_block(n))
+    report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
 
 
-# successes reported by the kernel that ranked candidates and scanned events
-# one position at a time, kept as literals; (n, p, k, trials, seed, objective,
-# successes).  Chunks then held max(256, 2**23 // (6 n)) trials, so the rows
-# with 400000 trials at n = 4, 15000 at n = 100, 1500 at n = 1000 and 300 at
-# n = 10000 span two chunks.
+# successes of fixed runs, kept as literals; (n, p, k, trials, seed,
+# objective, successes).  The rows at 0 < p < 1 were reported by the kernel
+# that ranked candidates and scanned events one position at a time; stream
+# layout 2 kept their blocks.  The rows at p in {0, 1} were re-pinned for
+# layout 2 from per_trial_successes, and each lies within 4 sigma of its exact
+# value (build_tables or top3_table).  At n = 1001-1003 the 3n blocks end off
+# the Philox step grid.
 PINNED_COUNTS = [
     (4, 0.25, 1, 400_000, 3, "best", 180897),
     (4, 0.5, 4, 5_000, 4, "best", 1266),
-    (4, 1.0, 4, 5_000, 18, "best", 3220),
-    (4, 0.0, 0, 5_000, 5, "top3", 3736),
-    (4, 0.0, 3, 5_000, 6, "top3", 1220),
-    (7, 1.0, 1, 5_000, 7, "best", 3589),
-    (7, 1.0, 7, 5_000, 19, "best", 2651),
+    (4, 1.0, 4, 5_000, 18, "best", 3320),
+    (4, 0.0, 0, 5_000, 5, "top3", 3700),
+    (4, 0.0, 3, 5_000, 6, "top3", 1330),
+    (7, 1.0, 1, 5_000, 7, "best", 3582),
+    (7, 1.0, 7, 5_000, 19, "best", 2636),
     (7, 0.0, 7, 5_000, 8, "best", 0),
     (100, 0.5, 1, 15_000, 9, "best", 2067),
     (100, 0.25, 100, 3_000, 10, "best", 20),
-    (100, 0.0, 99, 3_000, 11, "top3", 40),
-    (1000, 1.0, 1000, 1_500, 12, "best", 67),
+    (100, 0.0, 99, 3_000, 11, "top3", 38),
+    (1000, 1.0, 1000, 1_500, 12, "best", 98),
     (1000, 0.5, 430, 1_500, 13, "best", 712),
-    (1000, 0.0, 0, 1_500, 14, "top3", 3),
-    (1000, 0.0, 260, 1_500, 15, "top3", 890),
+    (1000, 0.0, 0, 1_500, 14, "top3", 4),
+    (1000, 0.0, 260, 1_500, 15, "top3", 893),
     (10_000, 0.5, 1, 300, 16, "best", 5),
-    (10_000, 1.0, 4700, 300, 20, "best", 235),
-    (10_000, 0.0, 2600, 300, 17, "top3", 163),
+    (10_000, 1.0, 4700, 300, 20, "best", 230),
+    (10_000, 0.0, 2600, 300, 17, "top3", 185),
     (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0),
-    # recorded before the p in {0, 1} kernel drew only the ranges it reads;
-    # n mod 4 in {1, 2, 3} puts the range starts off the Philox step grid, and
-    # 1500 trials span two chunks of 2**23 // (6 n) trials
-    (1001, 0.0, 368, 1_500, 30, "best", 523),
-    (1001, 0.0, 260, 1_500, 31, "top3", 906),
-    (1001, 1.0, 470, 1_500, 32, "best", 1125),
-    (1002, 0.0, 368, 1_500, 33, "best", 574),
-    (1002, 0.0, 260, 1_500, 34, "top3", 906),
-    (1002, 1.0, 470, 1_500, 35, "best", 1179),
-    (1003, 0.0, 368, 1_500, 36, "best", 548),
-    (1003, 0.0, 260, 1_500, 37, "top3", 910),
-    (1003, 1.0, 470, 1_500, 38, "best", 1172),
+    (1001, 0.0, 368, 1_500, 30, "best", 557),
+    (1001, 0.0, 260, 1_500, 31, "top3", 902),
+    (1001, 1.0, 470, 1_500, 32, "best", 1156),
+    (1002, 0.0, 368, 1_500, 33, "best", 546),
+    (1002, 0.0, 260, 1_500, 34, "top3", 934),
+    (1002, 1.0, 470, 1_500, 35, "best", 1129),
+    (1003, 0.0, 368, 1_500, 36, "best", 555),
+    (1003, 0.0, 260, 1_500, 37, "top3", 903),
+    (1003, 1.0, 470, 1_500, 38, "best", 1163),
 ]
 
 
@@ -232,8 +256,7 @@ def test_pinned_counts_independent_of_worker_count(
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
-    width = simulator._block_width(n)
-    budget = min(simulator._CHUNK_DOUBLES, trials * width // 4)
+    budget = min(simulator._CHUNK_DOUBLES, trials * six_n_block(n) // 4)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulator, "_WORKERS", workers)
@@ -251,7 +274,7 @@ def refuse_pool(monkeypatch):
 
 
 def test_single_chunk_starts_no_pool(monkeypatch):
-    n, width = 30, simulator._block_width(30)
+    n, width = 30, six_n_block(30)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     refuse_pool(monkeypatch)
@@ -264,7 +287,7 @@ def test_single_chunk_starts_no_pool(monkeypatch):
 
 def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
     n, trials, seed = 30, 7, 13
-    width = simulator._block_width(n)
+    width = six_n_block(n)
     expected = estimate(n=n, p=0.4, k=12, trials=trials, seed=seed)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * width - 4)  # one block fits, two do not
@@ -284,7 +307,7 @@ def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
 def test_threaded_calls_share_the_pool_workers(monkeypatch):
     # a pool per call let a new worker open a fresh malloc arena before the
     # last call's worker had exited, so peak RSS differed from run to run
-    n, width = 30, simulator._block_width(30)
+    n, width = 30, six_n_block(30)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)  # 100 trials per chunk
@@ -304,7 +327,7 @@ def test_threaded_calls_share_the_pool_workers(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_pool(monkeypatch):
-    n, width = 30, simulator._block_width(30)
+    n, width = 30, six_n_block(30)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)  # starts the pool
@@ -317,31 +340,29 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-@pytest.mark.parametrize("n,p,objective,ranged", [
-    (4, 0.5, "best", False),
-    (30, 0.0, "top3", False),
-    (30, 1.0, "best", True),
+@pytest.mark.parametrize("n,p,objective", [
+    (4, 0.5, "best"),
+    (30, 0.0, "top3"),
+    (30, 1.0, "best"),
 ])
-def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective, ranged):
+def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective):
     trials, seed, k = 200, 19, 2
-    width = simulator._block_width(n)
+    width = six_n_block(n)  # the budget counts 6n blocks at every p
     expected = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     budget = 10 * width
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
     monkeypatch.setattr(simulator, "_WORKERS", 3)  # more threads than a 2-CPU machine has CPUs
-    monkeypatch.setattr(simulator, "_RANGED_MIN_N", 1 if ranged else simulator._RANGED_MIN_N)
     lock = threading.Lock()
     doubles = {"in_flight": 0, "peak": 0}
+    split = simulator._split_block
 
-    def drawn(draw, rows_of):
+    def drawn(block, n, p):
         # a chunk is in flight from its drawn uniforms until its kernel returns
-        def wrapped(*args):
-            with lock:
-                doubles["in_flight"] += rows_of(*args) * width
-                doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
-            time.sleep(0.001)  # hold the chunk so that others overlap it
-            return draw(*args)
-        return wrapped
+        with lock:
+            doubles["in_flight"] += block.shape[0] * width
+            doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
+        time.sleep(0.001)  # hold the chunk so that others overlap it
+        return split(block, n, p)
 
     def counted(kernel):
         def wrapped(draws, *args):
@@ -352,10 +373,7 @@ def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective, ran
                     doubles["in_flight"] -= draws.rank_keys.shape[0] * width
         return wrapped
 
-    monkeypatch.setattr(simulator, "_split_block",
-                        drawn(simulator._split_block, lambda block, n, p: block.shape[0]))
-    monkeypatch.setattr(simulator, "_draw_read_ranges",
-                        drawn(simulator._draw_read_ranges, lambda gen, first, rows, n: rows))
+    monkeypatch.setattr(simulator, "_split_block", drawn)
     for name in ("_classical_chunk_successes", "_best_chunk_successes"):
         monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
     interval = sys.getswitchinterval()
@@ -378,7 +396,7 @@ def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective, ran
 def test_report_independent_of_chunking(monkeypatch, p, k, objective):
     n, trials, seed = 30, 301, 5
     reports = [estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)]
-    width = simulator._block_width(n)
+    width = six_n_block(n)
     for per_chunk in (1, 3):
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", per_chunk * width)
         reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
@@ -386,67 +404,10 @@ def test_report_independent_of_chunking(monkeypatch, p, k, objective):
     assert reports[2] == reports[0]
 
 
-RANGED_CASES = [
-    (n, p, objective)
-    for n in (1, 2, 3, 4, 5, 6, 7, 30)
-    for p, objective in ((0.0, "best"), (1.0, "best"), (0.0, "top3"))
-]
-
-
-@pytest.mark.parametrize("n,p,objective", RANGED_CASES)
-def test_ranged_draw_matches_contiguous_draw(monkeypatch, n, p, objective):
-    # below the cutoff the contiguous path runs; forcing the cutoff down makes
-    # the same chunk kernels read the ranges drawn trial by trial instead
-    trials, seed = 301, 23
-    k = n // 3 if objective == "top3" else max(1, n // 2)
-    contiguous = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
-    monkeypatch.setattr(simulator, "_RANGED_MIN_N", 1)
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
-    draw = simulator._draw_read_ranges
-    chunks = []
-
-    def recording(gen, first, rows, n):
-        chunks.append(rows)
-        return draw(gen, first, rows, n)
-
-    monkeypatch.setattr(simulator, "_draw_read_ranges", recording)
-    width = simulator._block_width(n)
-    # (budget, trials per chunk): one block leaves one thread; six give two
-    # threads three each, 101 chunks rounded up to 102 and balanced; the
-    # default budget holds every trial in one chunk
-    for budget, rows in (
-        (width, [1] * trials),
-        (6 * width, [2] * 5 + [3] * 97),
-        (simulator._CHUNK_DOUBLES, [trials]),
-    ):
-        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
-        chunks.clear()
-        ranged = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
-        assert ranged == contiguous
-        assert sum(chunks) == trials
-        assert sorted(chunks) == rows  # threads finish chunks in any order
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
-def test_ranged_draw_is_bit_identical_to_trial_streams(n):
-    seed, width = 29, simulator._block_width(n)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    # whatever the generator drew before, each chunk starts at its own trials
-    gen.random(7)
-    for first, rows in ((0, 2), (5, 3), (1, 1)):
-        draws = simulator._draw_read_ranges(gen, first, rows, n)
-        assert draws.flags is None and draws.coins is None
-        for row in range(rows):
-            block = trial_stream(seed, first + row, n).random(width)
-            assert draws.rank_keys[row].tobytes() == block[:n].tobytes()
-            assert draws.shuffle_keys[row].tobytes() == block[2 * n:4 * n].tobytes()
-
-
-@pytest.mark.parametrize("n", [4, simulator._RANGED_MIN_N - 1, simulator._RANGED_MIN_N])
-@pytest.mark.parametrize("p,objective", [(0.0, "best"), (1.0, "best"), (0.0, "top3")])
+@pytest.mark.parametrize("n", [4, 255, 256, 1001])
+@pytest.mark.parametrize("p,objective", [(0.0, "best"), (1.0, "best"), (0.0, "top3"), (0.5, "best")])
 def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
-    # a per-trial draw costs about 3 us in calls (20 us under tracemalloc);
-    # below the cutoff every chunk must come from one Generator.random call
+    # at every n and p a chunk is one Generator.random call of whole blocks
     calls = []
 
     class CountingGenerator(np.random.Generator):
@@ -455,15 +416,13 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
             return super().random(*args, **kwargs)
 
     monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
-    width = simulator._block_width(n)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 whole blocks per thread
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
     estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
-    if n < simulator._RANGED_MIN_N:
-        # 5 chunks of 2 rounded up to 6 and balanced, in any order
-        assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
-    else:
-        assert len(calls) == 2 * 10  # rank keys and shuffle keys, per trial
+    width = simulator._block_width(n, p)
+    assert width == -(-(3 if p in (0.0, 1.0) else 6) * n // 4) * 4
+    # 5 chunks of 2 rounded up to 6 and balanced, in any order
+    assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
 
 
 def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
