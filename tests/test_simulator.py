@@ -206,53 +206,90 @@ def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective)
 
 
 # successes of fixed runs, kept as literals; (n, p, k, trials, seed,
-# objective, successes).  The rows at 0 < p < 1 were reported by the kernel
-# that ranked candidates and scanned events one position at a time; stream
-# layout 2 kept their blocks.  The rows at p in {0, 1} were re-pinned for
-# layout 2 from per_trial_successes, and each lies within 4 sigma of its exact
-# value (build_tables or top3_table).  At n = 1001-1003 the 3n blocks end off
-# the Philox step grid.
+# objective, successes under stream layout 1, under layout 2).  A row's test
+# id is its inputs and its layout-1 count, the count it was first pinned with.
+# The rows at 0 < p < 1 were reported by the kernel that ranked candidates and
+# scanned events one position at a time; layout 2 kept their blocks, so both
+# counts are one.  At p in {0, 1} the layout-2 counts were re-pinned from
+# per_trial_successes, and each lies within 4 sigma of its exact value
+# (build_tables or top3_table).  At n = 1001-1003 the 3n blocks end off the
+# Philox step grid.
 PINNED_COUNTS = [
-    (4, 0.25, 1, 400_000, 3, "best", 180897),
-    (4, 0.5, 4, 5_000, 4, "best", 1266),
-    (4, 1.0, 4, 5_000, 18, "best", 3320),
-    (4, 0.0, 0, 5_000, 5, "top3", 3700),
-    (4, 0.0, 3, 5_000, 6, "top3", 1330),
-    (7, 1.0, 1, 5_000, 7, "best", 3582),
-    (7, 1.0, 7, 5_000, 19, "best", 2636),
-    (7, 0.0, 7, 5_000, 8, "best", 0),
-    (100, 0.5, 1, 15_000, 9, "best", 2067),
-    (100, 0.25, 100, 3_000, 10, "best", 20),
-    (100, 0.0, 99, 3_000, 11, "top3", 38),
-    (1000, 1.0, 1000, 1_500, 12, "best", 98),
-    (1000, 0.5, 430, 1_500, 13, "best", 712),
-    (1000, 0.0, 0, 1_500, 14, "top3", 4),
-    (1000, 0.0, 260, 1_500, 15, "top3", 893),
-    (10_000, 0.5, 1, 300, 16, "best", 5),
-    (10_000, 1.0, 4700, 300, 20, "best", 230),
-    (10_000, 0.0, 2600, 300, 17, "top3", 185),
-    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0),
-    (1001, 0.0, 368, 1_500, 30, "best", 557),
-    (1001, 0.0, 260, 1_500, 31, "top3", 902),
-    (1001, 1.0, 470, 1_500, 32, "best", 1156),
-    (1002, 0.0, 368, 1_500, 33, "best", 546),
-    (1002, 0.0, 260, 1_500, 34, "top3", 934),
-    (1002, 1.0, 470, 1_500, 35, "best", 1129),
-    (1003, 0.0, 368, 1_500, 36, "best", 555),
-    (1003, 0.0, 260, 1_500, 37, "top3", 903),
-    (1003, 1.0, 470, 1_500, 38, "best", 1163),
+    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897),
+    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266),
+    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320),
+    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700),
+    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330),
+    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582),
+    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636),
+    (7, 0.0, 7, 5_000, 8, "best", 0, 0),
+    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067),
+    (100, 0.25, 100, 3_000, 10, "best", 20, 20),
+    (100, 0.0, 99, 3_000, 11, "top3", 40, 38),
+    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98),
+    (1000, 0.5, 430, 1_500, 13, "best", 712, 712),
+    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4),
+    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893),
+    (10_000, 0.5, 1, 300, 16, "best", 5, 5),
+    (10_000, 1.0, 4700, 300, 20, "best", 235, 230),
+    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185),
+    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0),
+    (1001, 0.0, 368, 1_500, 30, "best", 523, 557),
+    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902),
+    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156),
+    (1002, 0.0, 368, 1_500, 33, "best", 574, 546),
+    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934),
+    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129),
+    (1003, 0.0, 368, 1_500, 36, "best", 548, 555),
+    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903),
+    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163),
 ]
+PINNED_ROWS = [pytest.param(*row, id="-".join(map(str, row[:7]))) for row in PINNED_COUNTS]
 
 
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,successes", PINNED_COUNTS)
-def test_estimate_matches_pinned_counts(n, p, k, trials, seed, objective, successes):
+class Layout1Stream:
+    """Stream layout 1's uniforms at p in {0, 1}, handed out in layout 2's blocks.
+
+    Layout 1 gave trial i the 6n block that layout 2 gives it at 0 < p < 1,
+    and at p in {0, 1} read its rank keys [0, n) and shuffle keys [2n, 4n).
+    """
+
+    def __init__(self, seed, first, n):
+        self.gen = trial_stream(seed, first, n, 0.5)
+        self.n = n
+
+    def random(self, shape):
+        n = self.n
+        six = self.gen.random((shape[0], six_n_block(n)))
+        block = np.zeros(shape)
+        block[:, :n] = six[:, :n]
+        block[:, n:3 * n] = six[:, 2 * n:4 * n]
+        return block
+
+
+def layout_1_successes(monkeypatch, n, p, k, trials, seed, objective):
+    """Successes of estimate() at p in {0, 1} when its chunks read layout 1's uniforms."""
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "trial_stream", lambda seed, first, n, p: Layout1Stream(seed, first, n))
+        return estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective).successes
+
+
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,successes", PINNED_ROWS)
+def test_estimate_matches_pinned_counts(
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, successes
+):
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
+    if p in (0.0, 1.0):
+        # the layouts differ only in where the kernel's uniforms come from
+        assert layout_1_successes(monkeypatch, n, p, k, trials, seed, objective) == layout_1
+    else:
+        assert layout_1 == successes
 
 
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,successes", PINNED_COUNTS)
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,successes", PINNED_ROWS)
 def test_pinned_counts_independent_of_worker_count(
-    monkeypatch, n, p, k, trials, seed, objective, successes
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, successes
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
@@ -402,6 +439,25 @@ def test_report_independent_of_chunking(monkeypatch, p, k, objective):
         reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
+def test_ranged_draw_is_bit_identical_to_trial_streams(n):
+    # at p in {0, 1} a block holds only the ranges the kernel reads, so one
+    # draw of whole blocks is the ranged draw; each row must be what
+    # generate_sequence reads from that trial's stream, wherever the chunk
+    # starts and however the 3n block pads to the Philox step grid
+    seed = 29
+    for p in (0.0, 1.0):
+        width = simulator._block_width(n, p)
+        for first, rows in ((0, 2), (5, 3), (1, 1)):
+            block = trial_stream(seed, first, n, p).random((rows, width))
+            draws = simulator._split_block(block, n, p)
+            assert draws.flags is None and draws.coins is None
+            for row in range(rows):
+                gen = trial_stream(seed, first + row, n, p)
+                assert draws.rank_keys[row].tobytes() == gen.random(n).tobytes()
+                assert draws.shuffle_keys[row].tobytes() == gen.random(2 * n).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 255, 256, 1001])
