@@ -23,7 +23,7 @@ import sys
 
 import click
 
-from . import __version__
+from . import __version__, errors
 from .asymptotics import integrate_limit_system, optimal_x_top3
 from .errors import SecretaryLabError
 from .reappearance import ProblemSpec, build_tables, optimal_policy
@@ -65,8 +65,8 @@ def printed_tolerance(printed: str) -> float:
     return 10.0 ** (-decimals)
 
 
-def _write(text: str, out: str = "-"):
-    """Write text to the file ``out``, or to stdout for ``-``.
+def _write(chunks, out: str = "-"):
+    """Write each string of ``chunks`` to the file ``out``, or to stdout for ``-``.
 
     Uses click.open_file, not click.echo: echo caches each stream it writes
     to, which keeps every redirected stdout alive for the life of the process.
@@ -76,12 +76,13 @@ def _write(text: str, out: str = "-"):
     except OSError as exc:
         raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="--out") from exc
     with fh:
-        fh.write(text)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
 
 
 def _emit(record: dict):
-    _write(json.dumps(record) + "\n")
+    _write([json.dumps(record) + "\n"])
 
 
 def _record(command: str, parameters: dict, result: dict, **provenance) -> dict:
@@ -149,27 +150,33 @@ def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: in
     """Write the full success-probability curve (k, probability)."""
     p = _check_p(model, p)
     if model == "reappearance":
-        tables = build_tables(ProblemSpec(n=n, p=p))
-        ks = range(1, n + 1)
-        values = tables.f[1:].tolist()
+        k0, values = 1, build_tables(ProblemSpec(n=n, p=p)).f[1:]
     else:
-        table = top3_table(n)
-        ks = range(0, n)
-        values = table.prob[:n].tolist()
+        k0, values = 0, top3_table(n).prob[:n]
 
     if fmt == "csv":
-        lines = ["k,probability"]
-        lines += [f"{k},{v:.{precision}f}" for k, v in zip(ks, values)]
-        payload = "\n".join(lines) + "\n"
+        head, row, sep, tail = "k,probability\n", f"%d,%.{precision}f\n", "", ""
     else:
-        payload = json.dumps({
-            "model": model,
-            "n": n,
-            "p": p,
-            "rows": [{"k": k, "probability": v} for k, v in zip(ks, values)],
-        }) + "\n"
+        # the record json.dumps writes, with the rows spliced into "rows": []
+        empty = json.dumps({"model": model, "n": n, "p": p, "rows": []})
+        head, row, sep, tail = empty[:-2], '{"k": %d, "probability": %r}', ", ", empty[-2:] + "\n"
+    _write(_rows(k0, values, head, row, sep, tail), out)
 
-    _write(payload, out)
+
+def _rows(k0: int, values, head: str, row: str, sep: str, tail: str):
+    """head, then one ``row % (k, value)`` per value joined by sep, then tail.
+
+    Formats ``errors.BLOCK`` rows per string, so no per-row objects outlive
+    their block.  %r is a float's repr, as json.dumps writes it.
+    """
+    yield head
+    for lo in range(0, len(values), errors.BLOCK):
+        block = values[lo:lo + errors.BLOCK].tolist()
+        cells = [None] * (2 * len(block))
+        cells[::2] = range(k0 + lo, k0 + lo + len(block))
+        cells[1::2] = block
+        yield (sep if lo else "") + sep.join([row] * len(block)) % tuple(cells)
+    yield tail
 
 
 def _check_p(model: str, p: float | None) -> float:
@@ -212,7 +219,7 @@ def table1(fmt: str):
 
 
 @main.command("table2")
-@click.option("--full", is_flag=True, help="Include the n=1e7 row (slower).")
+@click.option("--full", is_flag=True, help="Include the n=1e7 row.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def table2(full: bool, fmt: str):
     """Reproduce the published top-3 table over n and check each row."""
@@ -232,7 +239,7 @@ def _print_table(fmt: str, name: str, rows: list[dict]):
     n_fail = sum(row["status"] != "pass" for row in rows)
     lines.append(f"{name}: {len(rows) - n_fail}/{len(rows)} rows pass"
                  + (f", {n_fail} FAIL" if n_fail else ""))
-    _write("\n".join(lines) + "\n")
+    _write(["\n".join(lines) + "\n"])
 
 
 def _fmt_cell(v) -> str:
@@ -269,12 +276,17 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 @main.command("asymptotic")
 @click.option("--model", type=click.Choice(["reappearance", "top3"]), required=True)
 @click.option("--p", type=float, default=None, help="Reappearance probability (reappearance model only).")
-@click.option("--step", type=float, default=1e-4, show_default=True)
-@click.option("--epsilon", type=float, default=1e-4, show_default=True)
-def asymptotic(model: str, p: float | None, step: float, epsilon: float):
+@click.option("--step", type=float, default=None,
+              help="Integration step (reappearance model only).  [default: 1e-4]")
+@click.option("--epsilon", type=float, default=None,
+              help="Distance kept from x = 0 and x = 1 (reappearance model only).  [default: 1e-4]")
+def asymptotic(model: str, p: float | None, step: float | None, epsilon: float | None):
     """Limiting optimal threshold as n grows without bound."""
     p = _check_p(model, p)
     if model == "top3":
+        for name, value in (("--step", step), ("--epsilon", epsilon)):
+            if value is not None:
+                raise click.BadParameter(f"{name} does not apply to the top-3 model", param_hint=name)
         root = optimal_x_top3(1e-9)
         _emit(_record(
             "asymptotic",
@@ -286,6 +298,8 @@ def asymptotic(model: str, p: float | None, step: float, epsilon: float):
             },
         ))
         return
+    step = 1e-4 if step is None else step
+    epsilon = 1e-4 if epsilon is None else epsilon
     _, _, _, f_curve = integrate_limit_system(p, step=step, epsilon=epsilon)
     i = int(f_curve.values.argmax())
     _emit(_record(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the memory ceiling they enforce."""
+"""Exception types shared across the package, and the memory limits they enforce."""
 
 
 class SecretaryLabError(Exception):
@@ -42,10 +42,19 @@ class TooLarge(SecretaryLabError, ValueError):
 
 
 # Ceiling on the arrays one call may hold at its peak.  Every published size
-# fits far below it (top3_table at n = 1e7 peaks near 240 MB); a larger n is
-# refused before anything is allocated, instead of ending in a numpy memory
-# error or exhausting a machine that grants the allocation.
+# fits far below it (top3_table at n = 1e7 holds its 80 MB table and
+# block-sized scratch); a larger n is refused before anything is allocated,
+# instead of ending in a numpy memory error or exhausting a machine that
+# grants the allocation.  The optimal-policy solvers never hold a whole table
+# but refuse the same n as the tables they reduce, so one limit covers both.
 MAX_WORKING_BYTES = 2 << 30
+
+# Thresholds the exact solvers evaluate per block, and rows ``curve`` formats
+# per write.  A block's temporaries (about 4 MiB for the re-arrival tables)
+# stay near the cache and a reduction over all k holds no n-sized array,
+# while the per-block numpy overhead stays small; 2**14 to 2**16 timed best
+# on a 2-vCPU x86-64 VM.
+BLOCK = 1 << 15
 
 
 def check_working_set(n: int, bytes_per_entry: int, what: str):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import IndexOutOfRange, InvalidSpec, NonFinite, check_working_set
 
 __all__ = [
@@ -61,6 +62,20 @@ class OptimalPolicy:
     k_n: int
     value: float
 
+    @classmethod
+    def first_max(cls, blocks) -> OptimalPolicy:
+        """The largest value over (k0, values) blocks, values[i] at threshold k0 + i.
+
+        Blocks come from the highest thresholds down, so on ties the
+        smallest threshold wins: first within a block, last across blocks.
+        """
+        best = None
+        for k0, values in blocks:
+            i = int(np.argmax(values))
+            if best is None or values[i] >= best.value:
+                best = cls(k_n=k0 + i, value=float(values[i]))
+        return best
+
 
 @dataclass(frozen=True)
 class DpTables:
@@ -79,78 +94,165 @@ class DpTables:
     f: np.ndarray
 
 
-def _suffix_sums(terms: np.ndarray) -> np.ndarray:
-    """s[i] = sum(terms[i:]) for i = 0..len(terms); the last entry is 0."""
-    s = np.zeros(len(terms) + 1)
-    np.cumsum(terms[::-1], out=s[-2::-1])
-    return s
+def _check_buildable(spec: ProblemSpec) -> tuple[int, float]:
+    n, p = spec.n, float(spec.p)
+    if n < 2:
+        raise InvalidSpec(f"need n >= 2 to build tables, got n={n}")
+    check_working_set(n, 96, "build_tables")
+    return n, p
 
 
-def build_tables(spec: ProblemSpec) -> DpTables:
-    """Fill the phi/psi/upsilon/f tables for ``spec`` in O(n) time.
+def _pa(n: int, p: float, j: np.ndarray) -> np.ndarray:
+    """p / ((1 + p)(n - j) + 1) for the float thresholds j, in a new array."""
+    pa = np.subtract(n, j)
+    pa *= 1.0 + p
+    pa += 1.0
+    return np.divide(p, pa, out=pa)
+
+
+def _upsilon_sums(e: np.ndarray, lo: int, d: float, u: float):
+    """D[k] and sum_{j<=k} 1/D[j] for k = lo..lo+len(e)-1, in place of e = E[k].
+
+    ``d`` and ``u`` are both at k = lo-1; at lo = 1, D[1] = 1 starts the
+    product.  Each is folded into the block's first element before the
+    in-place cumprod/cumsum, so the result is bit-identical to one pass
+    over all k.
+    """
+    if lo == 1:
+        e[0] = 1.0
+    e[0] *= d
+    np.cumprod(e, out=e)
+    r = np.divide(1.0, e)
+    r[0] += u
+    return e, np.cumsum(r, out=r)
+
+
+def _table_blocks(n: int, p: float, out: tuple | None = None):
+    """Yield (lo, f[lo..hi]) for blocks of thresholds, from k = n down to 1.
 
     Each recurrence is linear with coefficients that depend only on k:
     phi[k] = A[k] + B[k] phi[k+1], psi[k] = g[k] + k/(k+1) psi[k+1] with
     g[k] = (1-p)/n + p phi[k+1]/(k+1), and k upsilon[k] = 1 + E[k] (k-1)
-    upsilon[k-1].  They telescope to closed forms, evaluated with reversed
-    cumulative products and sums:
+    upsilon[k-1], with E[k] = 1 - pa[k-1].  They telescope to closed forms:
 
         phi[k]       = C[k] (p + sum_{j>=k} A[j]/C[j]),  C[k] = prod_{i=k}^{n-1} B[i]
         psi[k]       = k sum_{j>=k} g[j]/j
         k upsilon[k] = D[k] sum_{j<=k} 1/D[j],          D[k] = prod_{i=2}^{k} E[i]
 
-    for k >= 1.  Row 0 of phi and psi is one explicit backward step, since
-    B[0] = 0 at p = 0.  Against the sequential recurrences the tables agree
+    for k >= 1.  Blocks of ``errors.BLOCK`` thresholds walk k downward,
+    carrying C, both suffix sums and phi[hi+1] into the next block; D and
+    its reciprocal sum run upward, so a first upward sweep records their
+    values at each block start (two floats per block).  Every carry is
+    folded into the first element of its block's in-place cumprod/cumsum,
+    so the tables are bit-identical to a single pass over all k.  Row 0 of
+    phi and psi is one explicit backward step (B[0] = 0 at p = 0), checked
+    with the last block.
+
+    Writes into the four arrays of ``out`` (phi, psi, upsilon, f; rows
+    1..n) when given, else into block-sized arrays.
+    """
+    block = errors.BLOCK
+    los = range(1, n + 1, block)
+    starts = [(1.0, 0.0)]  # D and its reciprocal sum at each block's lo - 1
+    for lo in los[:-1]:
+        e = 1.0 - _pa(n, p, np.arange(lo - 1, lo + block - 1, dtype=np.float64))
+        d, u = _upsilon_sums(e, lo, *starts[-1])
+        starts.append((d[-1], u[-1]))
+
+    c = 1.0      # C[hi+1]
+    s_phi = 0.0  # sum_{j>hi} A[j]/C[j]
+    s_psi = 0.0  # sum_{j>hi} g[j]/j
+    phi_up = 0.0  # phi[hi+1]; never read at the top, where g[n] is dropped
+    for lo, (d, u) in zip(reversed(los), reversed(starts)):
+        hi = min(lo + block - 1, n)
+        rows = (None,) * 4 if out is None else [table[lo:hi + 1] for table in out]
+        j = np.arange(lo - 1, hi + 1, dtype=np.float64)  # k - 1 for k = lo..hi+1
+        k = j[1:]
+        j1 = j + 1.0
+        a = _pa(n, p, j)
+        q = 1.0 - a
+        a *= j
+        a += (1.0 - p) * q
+        a /= n
+        b = p + j
+        b *= q
+        b /= j1
+        ak, bk = a[1:], b[1:]
+        if hi == n:  # C[n] = 1 and the sums start empty
+            ak[-1] = 0.0
+            bk[-1] = 1.0
+        bk[-1] *= c
+        np.cumprod(bk[::-1], out=bk[::-1])  # C[k]
+        t = ak / bk
+        t[-1] += s_phi
+        np.cumsum(t[::-1], out=t[::-1])
+        c, s_phi = bk[0], t[0]
+        t += p
+        phi = np.multiply(bk, t, out=rows[0])
+
+        g = np.empty(len(k))
+        np.multiply(p, phi[1:], out=g[:-1])
+        g[-1] = p * phi_up
+        g /= j1[1:]
+        g += (1.0 - p) / n
+        g /= k
+        if hi == n:
+            g[-1] = 0.0
+        g[-1] += s_psi
+        np.cumsum(g[::-1], out=g[::-1])
+        s_psi, phi_up = g[0], phi[0]
+        psi = np.multiply(k, g, out=rows[1])
+
+        dk, uk = _upsilon_sums(q[:-1], lo, d, u)
+        ups = np.multiply(dk, uk, out=rows[2])
+        ups /= k
+        f = np.multiply(ups, phi, out=rows[3])
+        rest = 1.0 - ups
+        rest *= psi
+        f += rest
+
+        for name, arr in (("phi", phi), ("psi", psi), ("upsilon", ups), ("f", f)):
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+                raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
+        if lo == 1:  # row 0: one backward step from phi[1]
+            phi0 = a[0] + b[0] * phi[0]
+            psi0 = (1.0 - p) / n + p * phi[0]
+            for name, v in (("phi", phi0), ("psi", psi0)):
+                if not 0.0 <= v <= 1.0:
+                    raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
+            if out is not None:
+                out[0][0], out[1][0] = phi0, psi0
+        yield lo, f
+
+
+def build_tables(spec: ProblemSpec) -> DpTables:
+    """Fill the phi/psi/upsilon/f tables for ``spec`` in O(n) time.
+
+    The closed forms and their blockwise evaluation are described in
+    ``_table_blocks``.  Against the sequential recurrences the tables agree
     to ~1e-15 at n = 100 and to 1.1e-12 at n = 2e5 and 6.8e-12 at n = 1e6
     (both at p = 0, the worst case), with the same argmax of f at every
     published n = 100 row and at n = 2e5 and 1e6.  At n = 1e6, p = 0 the
     closed form is the more accurate of the two: 1.6e-12 from an
     extended-precision sum, against 6.8e-12 for the sequential loop.
 
+    Holds the four 8-byte-per-entry tables and block-sized scratch.
+
     Raises
     ------
     InvalidSpec
         If n < 2 (both recurrence directions must be nonempty).
     DomainError
-        Before allocating, if the arrays (96 bytes per entry, measured) would
-        exceed ``errors.MAX_WORKING_BYTES``.
+        Before allocating, for an n past the limit that
+        ``errors.check_working_set`` sets at 96 bytes per entry.
     """
-    n, p = spec.n, float(spec.p)
-    if n < 2:
-        raise InvalidSpec(f"need n >= 2 to build tables, got n={n}")
-    check_working_set(n, 96, "build_tables")
-
-    k = np.arange(n + 1, dtype=np.float64)
-    kb = k[:n]  # the backward steps k = 0..n-1
-    pa = p / ((1.0 + p) * (n - kb) + 1.0)
-    A = (pa * kb + (1.0 - p) * (1.0 - pa)) / n
-    B = (p + kb) * (1.0 - pa) / (kb + 1.0)
-
-    C = np.ones(n + 1)
-    C[1:n] = np.cumprod(B[:0:-1])[::-1]
-    phi = np.empty(n + 1)
-    phi[1:] = C[1:] * (p + _suffix_sums(A[1:] / C[1:n]))
-    phi[0] = A[0] + B[0] * phi[1]
-
-    g = (1.0 - p) / n + p * phi[1:] / (kb + 1.0)
-    psi = np.empty(n + 1)
-    psi[1:] = k[1:] * _suffix_sums(g[1:] / kb[1:])
-    psi[0] = g[0]
-
-    D = np.ones(n + 1)
-    np.cumprod(1.0 - p / ((1.0 + p) * (n - k[2:] + 1.0) + 1.0), out=D[2:])
-    ups = np.empty(n + 1)
-    ups[0] = np.nan  # and so f[0]
-    ups[1:] = D[1:] * np.cumsum(1.0 / D[1:]) / k[1:]
-
-    f = ups * phi + (1.0 - ups) * psi
-
-    for name, arr in (("phi", phi), ("psi", psi),
-                      ("upsilon", ups[1:]), ("f", f[1:])):
-        if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
-            raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
-
-    for arr in (phi, psi, ups, f):
+    n, p = _check_buildable(spec)
+    tables = tuple(np.empty(n + 1) for _ in range(4))
+    for _ in _table_blocks(n, p, tables):
+        pass
+    phi, psi, ups, f = tables
+    ups[0] = f[0] = np.nan
+    for arr in tables:
         arr.flags.writeable = False
     return DpTables(n=n, p=p, phi=phi, psi=psi, upsilon=ups, f=f)
 
@@ -165,8 +267,8 @@ def success_probability(tables: DpTables, k: int) -> float:
 def optimal_policy(spec: ProblemSpec) -> OptimalPolicy:
     """Best threshold in 1..n and its success probability.
 
-    Ties are broken toward the smallest threshold (stop earlier).
+    Ties are broken toward the smallest threshold (stop earlier).  Reduces
+    the tables' blocks as they are made, so it holds no n-sized array, and
+    refuses the same specs as ``build_tables``.
     """
-    tables = build_tables(spec)
-    k_n = int(np.argmax(tables.f[1:])) + 1
-    return OptimalPolicy(k_n=k_n, value=float(tables.f[k_n]))
+    return OptimalPolicy.first_max(_table_blocks(*_check_buildable(spec)))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import DegenerateInstance, IndexOutOfRange, NonFinite, check_working_set
 from .reappearance import OptimalPolicy
 
@@ -66,43 +67,66 @@ def binom_survival_ratio(n: int, k: int) -> float:
     return r + 0.0  # normalise -0.0 from the zero factor at the tail
 
 
+def _prob_blocks(n: int, prob: np.ndarray | None = None):
+    """Yield (lo, values): prob[k] for k = hi down to lo, one block at a time.
+
+    Blocks of ``errors.BLOCK`` thresholds walk k from n-1 down to 1.  The
+    harmonic tail 3 (H_{n-1} - H_{k-1}) is one cumulative sum of 3/j, carried
+    from each block into the first element of the next, so every block is
+    bit-identical to the same rows of a single whole-table sum.  The quadratic
+    and the factor k/n are applied in place.  Writes into ``prob`` when given
+    (prob[0] and prob[n] are left to the caller), else into one block-sized
+    buffer reused for every block.
+    """
+    block = errors.BLOCK
+    buf = np.empty(min(block, n - 1)) if prob is None else None
+    tail = 0.0
+    for hi in range(n - 1, 0, -block):
+        lo = max(hi - block + 1, 1)
+        k = np.arange(hi, lo - 1, -1, dtype=np.float64)
+        values = buf[:hi - lo + 1] if prob is None else prob[hi:lo - 1:-1]
+        np.divide(3.0, k, out=values)
+        values[0] += tail
+        np.cumsum(values, out=values)
+        tail = values[-1]
+        poly = np.subtract(n, k)
+        poly *= k + (9 - 5 * n)
+        poly /= 2 * (n - 1) * (n - 2)
+        values += poly
+        values *= k
+        values /= n
+        if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+            raise NonFinite(f"prob left [0, 1] for n={n}")
+        yield lo, values
+
+
 def top3_table(n: int) -> Top3Table:
     """Fill prob[0..n] for the top-3 objective in O(n) time, in closed form.
 
-    One reversed cumulative sum of 3/j gives the harmonic tails
-    3 (H_{n-1} - H_{k-1}); the quadratic and the factor k/n are applied in
-    place, so the table needs three n-arrays: prob, k and the quadratic.
-    Agrees with the sequential recurrence to ~1e-14 for n <= 1e5.
+    Holds the 8-byte-per-entry table and block-sized scratch.  Agrees with
+    the sequential recurrence to ~1e-14 for n <= 1e5.
 
-    Raises DomainError, before allocating, for an n whose arrays (24 bytes
-    per entry, measured) would exceed ``errors.MAX_WORKING_BYTES``.
+    Raises DomainError, before allocating, for an n past the limit that
+    ``errors.check_working_set`` sets at 24 bytes per entry.
     """
     _check_n(n)
     check_working_set(n, 24, "top3_table")
     prob = np.empty(n + 1)
-    body = prob[1:]                     # k = 1..n
-    k = np.arange(1, n + 1, dtype=np.float64)
-    poly = np.subtract(n, k)
-    np.add(k, 9 - 5 * n, out=body)      # scratch until it takes the tails
-    poly *= body
-    poly /= 2 * (n - 1) * (n - 2)
-    tail = prob[n - 1:0:-1]             # k = n-1 down to 1
-    np.divide(3.0, k[n - 2::-1], out=tail)
-    np.cumsum(tail, out=tail)
+    for _ in _prob_blocks(n, prob):
+        pass
     prob[n] = 0.0
-    body += poly
-    body *= k
-    body /= n
     prob[0] = 3.0 / n
-
-    if not (prob.min() >= 0.0 and prob.max() <= 1.0):  # NaN fails both
-        raise NonFinite(f"prob left [0, 1] for n={n}")
     prob.flags.writeable = False
     return Top3Table(n=n, prob=prob)
 
 
 def optimal_policy_top3(n: int) -> OptimalPolicy:
-    """Best threshold in 0..n-1 for the top-3 objective; smallest k on ties."""
-    table = top3_table(n)
-    k_n = int(np.argmax(table.prob[:n]))
-    return OptimalPolicy(k_n=k_n, value=float(table.prob[k_n]))
+    """Best threshold in 0..n-1 for the top-3 objective; smallest k on ties.
+
+    Reduces the table's blocks as they are made, so it holds no n-sized
+    array, and refuses the same n as ``top3_table``.
+    """
+    _check_n(n)
+    check_working_set(n, 24, "top3_table")
+    pol = OptimalPolicy.first_max((lo, values[::-1]) for lo, values in _prob_blocks(n))
+    return pol if pol.value > 3.0 / n else OptimalPolicy(k_n=0, value=3.0 / n)

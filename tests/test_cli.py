@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import secretarylab.cli as cli
-from secretarylab import exact_top3
+from secretarylab import ProblemSpec, build_tables, errors, exact_top3, top3_table
 from secretarylab.cli import main, printed_tolerance
 from secretarylab.errors import NonFinite
 
@@ -112,6 +112,62 @@ def test_curve_writes_file(runner, tmp_path):
     assert lines[0] == "k,probability"
     assert len(lines) == 11
     assert len(lines[1].split(",")[1].split(".")[1]) == 8
+
+
+def reference_curve(model, n, p, fmt, precision):
+    """The curve as one json.dumps of dict rows, or as f-string CSV lines."""
+    if model == "reappearance":
+        ks, values = range(1, n + 1), build_tables(ProblemSpec(n=n, p=p)).f[1:].tolist()
+    else:
+        ks, values = range(n), top3_table(n).prob[:n].tolist()
+    if fmt == "csv":
+        return "k,probability\n" + "".join(f"{k},{v:.{precision}f}\n" for k, v in zip(ks, values))
+    rows = [{"k": k, "probability": v} for k, v in zip(ks, values)]
+    return json.dumps({"model": model, "n": n, "p": p, "rows": rows}) + "\n"
+
+
+@pytest.mark.parametrize("block,model,n,fmt,precision", [
+    (64, "reappearance", 200, "csv", 0),
+    (64, "reappearance", 200, "csv", 8),
+    (64, "reappearance", 128, "json", 6),
+    (64, "top3", 200, "csv", 8),
+    (64, "top3", 128, "csv", 0),
+    (64, "top3", 200, "json", 6),
+    (64, "top3", 4, "json", 6),
+    (None, "top3", 2 * errors.BLOCK + 3, "json", 6),
+    (None, "reappearance", 2 * errors.BLOCK + 3, "csv", 8),
+])
+def test_curve_streams_the_reference_render(runner, monkeypatch, tmp_path, block, model, n, fmt,
+                                            precision):
+    p = 0.25 if model == "reappearance" else 0.0
+    expected = reference_curve(model, n, p, fmt, precision)
+    if block is not None:
+        monkeypatch.setattr(errors, "BLOCK", block)
+    args = ["curve", "--model", model, "--n", str(n), "--format", fmt,
+            "--precision", str(precision)] + (["--p", str(p)] if model == "reappearance" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == expected
+
+    out = tmp_path / "curve.out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == ""
+    assert out.read_text() == expected
+
+
+def test_curve_arithmetic_failure_writes_nothing(runner, monkeypatch, tmp_path):
+    def diverge(n):
+        raise NonFinite(f"prob left [0, 1] for n={n}")
+
+    monkeypatch.setattr(cli, "top3_table", diverge)
+    out = tmp_path / "curve.csv"
+    for extra in ([], ["--out", str(out)]):
+        result = runner.invoke(main, ["curve", "--model", "top3", "--n", "10"] + extra)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "prob left [0, 1] for n=10" in result.stderr
+    assert not out.exists()
 
 
 def test_curve_requires_p_for_reappearance(runner):
@@ -223,6 +279,13 @@ def test_asymptotic_reappearance_p0(runner):
     assert abs(rec["result"]["probability"] - 1 / math.e) <= 1e-3
 
 
+def test_asymptotic_reappearance_defaults(runner):
+    rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "0.5"])
+    assert rec["parameters"] == {"model": "reappearance", "p": 0.5, "step": 1e-4, "epsilon": 1e-4}
+    explicit = ["--step", "0.0001", "--epsilon", "0.0001"]
+    assert run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "0.5"] + explicit) == rec
+
+
 def test_asymptotic_reappearance_p1(runner):
     rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "1"])
     assert abs(rec["result"]["x_star"] - 0.47) <= 0.01
@@ -292,6 +355,10 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  id="curve-top3-p"),
     pytest.param(["asymptotic", "--model", "top3", "--p", "0.5"], ["--p"],
                  id="asymptotic-top3-p"),
+    pytest.param(["asymptotic", "--model", "top3", "--step", "5"], ["--step"],
+                 id="asymptotic-top3-step"),
+    pytest.param(["asymptotic", "--model", "top3", "--epsilon", "-3"], ["--epsilon"],
+                 id="asymptotic-top3-epsilon"),
     pytest.param(["curve", "--model", "top3", "--n", "10", "--out", "{missing}"],
                  ["--out", "{missing}"], id="curve-out"),
     pytest.param(["top3-solve", "--n", "1000000000000"], ["n=1000000000000"],
