@@ -26,7 +26,7 @@ import click
 from . import __version__, errors
 from .asymptotics import integrate_limit_system, optimal_x_top3
 from .errors import SecretaryLabError
-from .reappearance import ProblemSpec, build_tables, optimal_policy
+from .reappearance import ProblemSpec, _check_buildable, _table_blocks, copy_blocks, optimal_policy
 from .simulator import STREAM_LAYOUT, estimate
 from .top3 import optimal_policy_top3, top3_table
 
@@ -144,13 +144,14 @@ def top3_solve(n: int):
 @click.option("--p", type=float, default=None, help="Reappearance probability (reappearance model only).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(writable=True, allow_dash=True), default="-", show_default=True)
-@click.option("--precision", type=click.IntRange(min=0), default=6, show_default=True,
-              help="CSV fractional digits.")
+@click.option("--precision", type=click.IntRange(0, 1074), default=6, show_default=True,
+              help="CSV fractional digits (a double has at most 1074).")
 def curve(model: str, n: int, p: float | None, fmt: str, out: str, precision: int):
     """Write the full success-probability curve (k, probability)."""
     p = _check_p(model, p)
-    if model == "reappearance":
-        k0, values = 1, build_tables(ProblemSpec(n=n, p=p)).f[1:]
+    if model == "reappearance":  # f alone, copied from the solver's blocks
+        (f,) = copy_blocks(_table_blocks(*_check_buildable(ProblemSpec(n=n, p=p))), n + 1)
+        k0, values = 1, f[1:]
     else:
         k0, values = 0, top3_table(n).prob[:n]
 

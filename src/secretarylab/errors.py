@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the memory limits they enforce."""
+"""Exception types shared across the package, the exact solvers' n limits and block size."""
 
 
 class SecretaryLabError(Exception):
@@ -41,13 +41,12 @@ class TooLarge(SecretaryLabError, ValueError):
     """Instance exceeds the exact enumeration limits."""
 
 
-# Ceiling on the arrays one call may hold at its peak.  Every published size
-# fits far below it (top3_table at n = 1e7 holds its 80 MB table and
-# block-sized scratch); a larger n is refused before anything is allocated,
-# instead of ending in a numpy memory error or exhausting a machine that
-# grants the allocation.  The optimal-policy solvers never hold a whole table
-# but refuse the same n as the tables they reduce, so one limit covers both.
-MAX_WORKING_BYTES = 2 << 30
+# Largest n the exact solvers accept, tables and optimal policies alike.
+# These n limits are kept from the 2 GiB ceiling that the tables' former 96
+# and 24 bytes per entry set; at them build_tables now holds about 34 and
+# top3_table about 9 bytes per entry, and the policies 4 and 1 MiB at any n.
+MAX_N_REAPPEARANCE = 22_369_621
+MAX_N_TOP3 = 89_478_485
 
 # Thresholds the exact solvers evaluate per block, and rows ``curve`` formats
 # per write.  A block's temporaries (about 4 MiB for the re-arrival tables)
@@ -55,12 +54,3 @@ MAX_WORKING_BYTES = 2 << 30
 # while the per-block numpy overhead stays small; 2**14 to 2**16 timed best
 # on a 2-vCPU x86-64 VM.
 BLOCK = 1 << 15
-
-
-def check_working_set(n: int, bytes_per_entry: int, what: str):
-    """Raise DomainError when n entries of bytes_per_entry exceed MAX_WORKING_BYTES."""
-    if n * bytes_per_entry > MAX_WORKING_BYTES:
-        raise DomainError(
-            f"{what} at n={n} needs about {n * bytes_per_entry / 2**30:.3g} GiB, "
-            f"over the {MAX_WORKING_BYTES >> 30} GiB limit"
-        )

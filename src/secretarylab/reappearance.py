@@ -7,8 +7,8 @@ candidates without hiring, then accepts the first arrival that is either
 the current leader returning, a fresh leader (accepted with probability
 1-p), or a returning leader.
 
-For a given (n, p) this module fills four tables over the threshold k in
-linear time:
+For a given (n, p) this module computes four tables over the threshold k
+in linear time, block by block (``_table_blocks``):
 
     phi[k]      P(hire the best | k distinct seen, leader seen once)
     psi[k]      P(hire the best | k distinct seen, leader seen twice)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import IndexOutOfRange, InvalidSpec, NonFinite, check_working_set
+from .errors import DomainError, IndexOutOfRange, InvalidSpec, NonFinite
 
 __all__ = [
     "ProblemSpec",
@@ -64,17 +64,26 @@ class OptimalPolicy:
 
     @classmethod
     def first_max(cls, blocks) -> OptimalPolicy:
-        """The largest value over (k0, values) blocks, values[i] at threshold k0 + i.
+        """The largest value over (k0, values, ...) blocks, values[i] at threshold k0 + i.
 
         Blocks come from the highest thresholds down, so on ties the
         smallest threshold wins: first within a block, last across blocks.
         """
         best = None
-        for k0, values in blocks:
+        for k0, values, *_ in blocks:
             i = int(np.argmax(values))
             if best is None or values[i] >= best.value:
                 best = cls(k_n=k0 + i, value=float(values[i]))
         return best
+
+
+def copy_blocks(blocks, size: int, columns: int = 1) -> list[np.ndarray]:
+    """Column j < ``columns`` of (k0, column, ...) blocks, copied to [k0:] of new array j."""
+    tables = [np.empty(size) for _ in range(columns)]
+    for k0, *block in blocks:
+        for table, column in zip(tables, block):
+            table[k0:k0 + len(column)] = column
+    return tables
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,8 @@ def _check_buildable(spec: ProblemSpec) -> tuple[int, float]:
     n, p = spec.n, float(spec.p)
     if n < 2:
         raise InvalidSpec(f"need n >= 2 to build tables, got n={n}")
-    check_working_set(n, 96, "build_tables")
+    if n > errors.MAX_N_REAPPEARANCE:
+        raise DomainError(f"re-arrival solver accepts n <= {errors.MAX_N_REAPPEARANCE}, got n={n}")
     return n, p
 
 
@@ -127,8 +137,8 @@ def _upsilon_sums(e: np.ndarray, lo: int, d: float, u: float):
     return e, np.cumsum(r, out=r)
 
 
-def _table_blocks(n: int, p: float, out: tuple | None = None):
-    """Yield (lo, f[lo..hi]) for blocks of thresholds, from k = n down to 1.
+def _table_blocks(n: int, p: float):
+    """Yield (lo, f, phi, psi, upsilon) over k = lo..hi, block by block from k = n down to 1.
 
     Each recurrence is linear with coefficients that depend only on k:
     phi[k] = A[k] + B[k] phi[k+1], psi[k] = g[k] + k/(k+1) psi[k+1] with
@@ -144,12 +154,11 @@ def _table_blocks(n: int, p: float, out: tuple | None = None):
     its reciprocal sum run upward, so a first upward sweep records their
     values at each block start (two floats per block).  Every carry is
     folded into the first element of its block's in-place cumprod/cumsum,
-    so the tables are bit-identical to a single pass over all k.  Row 0 of
-    phi and psi is one explicit backward step (B[0] = 0 at p = 0), checked
-    with the last block.
+    so the tables are bit-identical to a single pass over all k.
 
-    Writes into the four arrays of ``out`` (phi, psi, upsilon, f; rows
-    1..n) when given, else into block-sized arrays.
+    The four columns, each in ascending k, are views of block-sized scratch
+    that the next block overwrites: a caller copies or reduces them before
+    asking for the next block.
     """
     block = errors.BLOCK
     los = range(1, n + 1, block)
@@ -159,13 +168,14 @@ def _table_blocks(n: int, p: float, out: tuple | None = None):
         d, u = _upsilon_sums(e, lo, *starts[-1])
         starts.append((d[-1], u[-1]))
 
+    scratch = np.empty((4, min(block, n)))
     c = 1.0      # C[hi+1]
     s_phi = 0.0  # sum_{j>hi} A[j]/C[j]
     s_psi = 0.0  # sum_{j>hi} g[j]/j
     phi_up = 0.0  # phi[hi+1]; never read at the top, where g[n] is dropped
     for lo, (d, u) in zip(reversed(los), reversed(starts)):
         hi = min(lo + block - 1, n)
-        rows = (None,) * 4 if out is None else [table[lo:hi + 1] for table in out]
+        f, phi, psi, ups = scratch[:, :hi - lo + 1]
         j = np.arange(lo - 1, hi + 1, dtype=np.float64)  # k - 1 for k = lo..hi+1
         k = j[1:]
         j1 = j + 1.0
@@ -188,7 +198,7 @@ def _table_blocks(n: int, p: float, out: tuple | None = None):
         np.cumsum(t[::-1], out=t[::-1])
         c, s_phi = bk[0], t[0]
         t += p
-        phi = np.multiply(bk, t, out=rows[0])
+        np.multiply(bk, t, out=phi)
 
         g = np.empty(len(k))
         np.multiply(p, phi[1:], out=g[:-1])
@@ -201,12 +211,12 @@ def _table_blocks(n: int, p: float, out: tuple | None = None):
         g[-1] += s_psi
         np.cumsum(g[::-1], out=g[::-1])
         s_psi, phi_up = g[0], phi[0]
-        psi = np.multiply(k, g, out=rows[1])
+        np.multiply(k, g, out=psi)
 
         dk, uk = _upsilon_sums(q[:-1], lo, d, u)
-        ups = np.multiply(dk, uk, out=rows[2])
+        np.multiply(dk, uk, out=ups)
         ups /= k
-        f = np.multiply(ups, phi, out=rows[3])
+        np.multiply(ups, phi, out=f)
         rest = 1.0 - ups
         rest *= psi
         f += rest
@@ -214,15 +224,7 @@ def _table_blocks(n: int, p: float, out: tuple | None = None):
         for name, arr in (("phi", phi), ("psi", psi), ("upsilon", ups), ("f", f)):
             if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
                 raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
-        if lo == 1:  # row 0: one backward step from phi[1]
-            phi0 = a[0] + b[0] * phi[0]
-            psi0 = (1.0 - p) / n + p * phi[0]
-            for name, v in (("phi", phi0), ("psi", psi0)):
-                if not 0.0 <= v <= 1.0:
-                    raise NonFinite(f"{name} left [0, 1] for n={n}, p={p}")
-            if out is not None:
-                out[0][0], out[1][0] = phi0, psi0
-        yield lo, f
+        yield lo, f, phi, psi, ups
 
 
 def build_tables(spec: ProblemSpec) -> DpTables:
@@ -243,16 +245,16 @@ def build_tables(spec: ProblemSpec) -> DpTables:
     InvalidSpec
         If n < 2 (both recurrence directions must be nonempty).
     DomainError
-        Before allocating, for an n past the limit that
-        ``errors.check_working_set`` sets at 96 bytes per entry.
+        Before allocating, for n past ``errors.MAX_N_REAPPEARANCE``.
     """
     n, p = _check_buildable(spec)
-    tables = tuple(np.empty(n + 1) for _ in range(4))
-    for _ in _table_blocks(n, p, tables):
-        pass
-    phi, psi, ups, f = tables
+    f, phi, psi, ups = copy_blocks(_table_blocks(n, p), n + 1, 4)
+    # row 0: one backward step from phi[1], in [0, 1] whenever phi[1] is
+    q0 = 1.0 - p / (n * (1.0 + p) + 1.0)  # B[0] = p q0, A[0] = (1 - p) q0 / n
+    phi[0] = (1.0 - p) * q0 / n + p * q0 * phi[1]
+    psi[0] = (1.0 - p) / n + p * phi[1]
     ups[0] = f[0] = np.nan
-    for arr in tables:
+    for arr in (phi, psi, ups, f):
         arr.flags.writeable = False
     return DpTables(n=n, p=p, phi=phi, psi=psi, upsilon=ups, f=f)
 
@@ -268,7 +270,7 @@ def optimal_policy(spec: ProblemSpec) -> OptimalPolicy:
     """Best threshold in 1..n and its success probability.
 
     Ties are broken toward the smallest threshold (stop earlier).  Reduces
-    the tables' blocks as they are made, so it holds no n-sized array, and
-    refuses the same specs as ``build_tables``.
+    the f column of ``_table_blocks`` as it is made, so it holds no n-sized
+    array, and refuses the same specs as ``build_tables``.
     """
     return OptimalPolicy.first_max(_table_blocks(*_check_buildable(spec)))

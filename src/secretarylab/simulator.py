@@ -60,7 +60,6 @@ same bound), may be ranked or ordered differently.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -74,7 +73,6 @@ from .errors import (
     InvalidCombination,
     InvalidSpec,
     MixedSequence,
-    check_working_set,
 )
 from .reappearance import ProblemSpec
 
@@ -101,7 +99,8 @@ STREAM_LAYOUT = 2  # see the module docstring
 # at n = 1000, p = 1 and at 13 and 12 MiB for top-3 at n = 1000 and 10000,
 # on one thread and on two alike (tracemalloc).  Past n = 2**21 // 6 a 6n
 # block fills the budget, so a chunk holds one trial and runs alone; it peaks
-# at 88 bytes per candidate (62 at p = 1, 40 at p = 0; n = 1e6).  A budget of
+# at 88 bytes per candidate (62 at p = 1, 40 at p = 0; n = 1e6), and an n at
+# which that passes 2 GiB is refused before anything is drawn.  A budget of
 # 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
 # mc-small-n benchmark (2-vCPU VM), against 65 MiB with this one.
 _CHUNK_DOUBLES = 1 << 21
@@ -306,8 +305,7 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Raises DomainError for an n at which one trial would exceed
-    ``errors.MAX_WORKING_BYTES``.
+    Raises DomainError for an n at which one trial would hold over 2 GiB.
     """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     if trials < 1:
@@ -322,7 +320,9 @@ def estimate(
     else:
         if not 1 <= k <= n:
             raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
-    check_working_set(n, _TRIAL_BYTES_PER_CANDIDATE, "one simulated trial")
+    if n * _TRIAL_BYTES_PER_CANDIDATE > 2 << 30:
+        raise DomainError(f"one simulated trial at n={n} needs about "
+                          f"{n * _TRIAL_BYTES_PER_CANDIDATE / 2**30:.3g} GiB, over the 2 GiB limit")
 
     width = _block_width(n, p)
 
@@ -334,13 +334,7 @@ def estimate(
             return _classical_chunk_successes(draws, k, 1)
         return _best_chunk_successes(draws, p, k)
 
-    threads, rows = _schedule(trials, n)
-    firsts = list(itertools.accumulate(rows[:-1], initial=0))
-    if threads == 1:
-        successes = sum(map(chunk_successes, firsts, rows))
-    else:
-        successes = _run_on_threads(chunk_successes, firsts, rows, threads)
-
+    successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n))
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
     return SimulationReport(
@@ -348,8 +342,8 @@ def estimate(
     )
 
 
-def _schedule(trials: int, n: int) -> tuple[int, list[int]]:
-    """Threads to run on, and the trials of each chunk, in trial order.
+def _schedule(trials: int, n: int) -> tuple[int, int]:
+    """Threads to run on, and the number of chunks the trials are split into.
 
     ``_CHUNK_DOUBLES`` bounds the 6n blocks of all chunks in flight, at
     every p: each of ``threads`` workers holds at most its share, and a
@@ -363,33 +357,44 @@ def _schedule(trials: int, n: int) -> tuple[int, list[int]]:
     per_chunk = max(1, _CHUNK_DOUBLES // (threads * width))
     chunks = -(-trials // per_chunk)
     if chunks == 1:
-        return 1, [trials]
-    chunks = min(trials, -(-chunks // threads) * threads)
+        return 1, 1
+    return threads, min(trials, -(-chunks // threads) * threads)
+
+
+def _chunks(trials: int, chunks: int, start: int, step: int):
+    """(first trial, rows) of chunks start, start + step, ... of ``chunks``.
+
+    The first ``trials % chunks`` chunks hold one row more than the rest.
+    """
     size, extra = divmod(trials, chunks)
-    return threads, [size + 1] * extra + [size] * (chunks - extra)
+    for i in range(start, chunks, step):
+        yield i * size + min(i, extra), size + (i < extra)
 
 
-def _run_on_threads(run, firsts: list[int], rows: list[int], threads: int) -> int:
+def _run_chunks(run, trials: int, threads: int, chunks: int) -> int:
     """Sum of ``run(first, rows)`` over the chunks, on ``threads`` pool workers.
 
     Worker j runs chunks j, j + threads, ... one after another, so at most
-    ``threads`` chunks are in flight.  After an error or interrupt no
-    further chunk starts, and the call returns once the running ones end.
+    ``threads`` chunks are in flight; one thread is the caller's own.  After
+    an error or interrupt no further chunk starts, and the call returns once
+    the running ones end.
     """
     stop = threading.Event()
 
     def lane(j: int) -> int:
         successes = 0
         try:
-            for first, count in zip(firsts[j::threads], rows[j::threads]):
+            for first, rows in _chunks(trials, chunks, j, threads):
                 if stop.is_set():
                     break
-                successes += run(first, count)
+                successes += run(first, rows)
         except BaseException:
             stop.set()
             raise
         return successes
 
+    if threads == 1:
+        return lane(0)
     pool = _thread_pool()
     lanes = [pool.submit(lane, j) for j in range(threads)]
     try:

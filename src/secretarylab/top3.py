@@ -19,9 +19,10 @@ Q(j) / (n (n-1) (n-2) j).  Summing over j gives the closed form
 
     prob[k] = (k/n) [3 (H_{n-1} - H_{k-1}) + (n-k)(k - 5n + 9) / (2 (n-1)(n-2))]
 
-for 1 <= k <= n, and prob[0] = 3/n, with H_m the m-th harmonic number.
-At k = x n, H_{n-1} - H_{k-1} tends to -ln x, and the closed form to the
-limit curve of ``asymptotics.top3_limit``,
+for 1 <= k <= n, and prob[0] = 3/n, with H_m the m-th harmonic number;
+``_prob_blocks`` evaluates it block by block.  At k = x n,
+H_{n-1} - H_{k-1} tends to -ln x, and the closed form to the limit curve
+of ``asymptotics.top3_limit``,
 
     P(x) = -3 x ln(x) + 3 x^2 - x^3/2 - 5 x/2.
 """
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import DegenerateInstance, IndexOutOfRange, NonFinite, check_working_set
-from .reappearance import OptimalPolicy
+from .errors import DegenerateInstance, DomainError, IndexOutOfRange, NonFinite
+from .reappearance import OptimalPolicy, copy_blocks
 
 __all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
 
@@ -67,28 +68,32 @@ def binom_survival_ratio(n: int, k: int) -> float:
     return r + 0.0  # normalise -0.0 from the zero factor at the tail
 
 
-def _prob_blocks(n: int, prob: np.ndarray | None = None):
-    """Yield (lo, values): prob[k] for k = hi down to lo, one block at a time.
+def _check_buildable(n: int):
+    _check_n(n)
+    if n > errors.MAX_N_TOP3:
+        raise DomainError(f"top-3 solver accepts n <= {errors.MAX_N_TOP3}, got n={n}")
 
-    Blocks of ``errors.BLOCK`` thresholds walk k from n-1 down to 1.  The
-    harmonic tail 3 (H_{n-1} - H_{k-1}) is one cumulative sum of 3/j, carried
-    from each block into the first element of the next, so every block is
-    bit-identical to the same rows of a single whole-table sum.  The quadratic
-    and the factor k/n are applied in place.  Writes into ``prob`` when given
-    (prob[0] and prob[n] are left to the caller), else into one block-sized
-    buffer reused for every block.
+
+def _prob_blocks(n: int):
+    """Yield (lo, prob[lo..hi]) in ascending k, block by block from k = n-1 down to 1.
+
+    The harmonic tail 3 (H_{n-1} - H_{k-1}) is one cumulative sum of 3/j
+    from the top, carried from each block into the highest element of the
+    next, so every block is bit-identical to the same rows of a single
+    whole-table sum.  The quadratic and the factor k/n are applied in place.
+    Each block is a view of one block-sized buffer that the next block
+    overwrites: a caller copies or reduces it before asking for the next.
     """
     block = errors.BLOCK
-    buf = np.empty(min(block, n - 1)) if prob is None else None
+    buf = np.empty(min(block, n - 1))
     tail = 0.0
     for hi in range(n - 1, 0, -block):
         lo = max(hi - block + 1, 1)
-        k = np.arange(hi, lo - 1, -1, dtype=np.float64)
-        values = buf[:hi - lo + 1] if prob is None else prob[hi:lo - 1:-1]
-        np.divide(3.0, k, out=values)
-        values[0] += tail
-        np.cumsum(values, out=values)
-        tail = values[-1]
+        k = np.arange(lo, hi + 1, dtype=np.float64)
+        values = np.divide(3.0, k, out=buf[:hi - lo + 1])
+        values[-1] += tail
+        np.cumsum(values[::-1], out=values[::-1])
+        tail = values[0]
         poly = np.subtract(n, k)
         poly *= k + (9 - 5 * n)
         poly /= 2 * (n - 1) * (n - 2)
@@ -103,17 +108,14 @@ def _prob_blocks(n: int, prob: np.ndarray | None = None):
 def top3_table(n: int) -> Top3Table:
     """Fill prob[0..n] for the top-3 objective in O(n) time, in closed form.
 
-    Holds the 8-byte-per-entry table and block-sized scratch.  Agrees with
-    the sequential recurrence to ~1e-14 for n <= 1e5.
+    Copies the blocks of ``_prob_blocks``; holds the 8-byte-per-entry table
+    and block-sized scratch.  Agrees with the sequential recurrence to
+    ~1e-14 for n <= 1e5.
 
-    Raises DomainError, before allocating, for an n past the limit that
-    ``errors.check_working_set`` sets at 24 bytes per entry.
+    Raises DomainError, before allocating, for n past ``errors.MAX_N_TOP3``.
     """
-    _check_n(n)
-    check_working_set(n, 24, "top3_table")
-    prob = np.empty(n + 1)
-    for _ in _prob_blocks(n, prob):
-        pass
+    _check_buildable(n)
+    (prob,) = copy_blocks(_prob_blocks(n), n + 1)
     prob[n] = 0.0
     prob[0] = 3.0 / n
     prob.flags.writeable = False
@@ -126,7 +128,6 @@ def optimal_policy_top3(n: int) -> OptimalPolicy:
     Reduces the table's blocks as they are made, so it holds no n-sized
     array, and refuses the same n as ``top3_table``.
     """
-    _check_n(n)
-    check_working_set(n, 24, "top3_table")
-    pol = OptimalPolicy.first_max((lo, values[::-1]) for lo, values in _prob_blocks(n))
+    _check_buildable(n)
+    pol = OptimalPolicy.first_max(_prob_blocks(n))
     return pol if pol.value > 3.0 / n else OptimalPolicy(k_n=0, value=3.0 / n)

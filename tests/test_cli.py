@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -168,6 +169,33 @@ def test_curve_arithmetic_failure_writes_nothing(runner, monkeypatch, tmp_path):
         assert result.stdout == ""
         assert "prob left [0, 1] for n=10" in result.stderr
     assert not out.exists()
+
+
+def test_curve_precision_reaches_every_digit_of_a_double(runner):
+    # 2**-1074, the smallest double, has 1074 fractional digits; no double has more
+    assert len(f"{2.0**-1074:.1074f}".rstrip("0").split(".")[1]) == 1074
+    args = ["curve", "--model", "top3", "--n", "4", "--precision", "1074"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == reference_curve("top3", 4, 0.0, "csv", 1074)
+
+
+def curve_peak_bytes(runner, path, n):
+    args = ["curve", "--model", "reappearance", "--n", str(n), "--p", "0.5", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+def test_curve_reappearance_holds_f_alone(runner, tmp_path):
+    # the four re-arrival tables take 32 B per entry; f alone takes 8
+    small, large = (curve_peak_bytes(runner, tmp_path / "curve.csv", n) for n in (200_000, 400_000))
+    assert (large - small) / 200_000 <= 10
 
 
 def test_curve_requires_p_for_reappearance(runner):
@@ -359,6 +387,8 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  id="asymptotic-top3-step"),
     pytest.param(["asymptotic", "--model", "top3", "--epsilon", "-3"], ["--epsilon"],
                  id="asymptotic-top3-epsilon"),
+    pytest.param(["curve", "--model", "top3", "--n", "10", "--precision", "1075"],
+                 ["--precision", "1075"], id="curve-precision-past-1074"),
     pytest.param(["curve", "--model", "top3", "--n", "10", "--out", "{missing}"],
                  ["--out", "{missing}"], id="curve-out"),
     pytest.param(["top3-solve", "--n", "1000000000000"], ["n=1000000000000"],
@@ -374,6 +404,19 @@ def test_rejects_invalid_input(runner, tmp_path, args, needles):
 
     result = runner.invoke(main, [fill(a) for a in args])
     assert_rejected(result, *map(fill, needles))
+
+
+@pytest.mark.parametrize("args,limit", [
+    pytest.param(["reappearance-solve", "--p", "0.5"], errors.MAX_N_REAPPEARANCE, id="reappearance"),
+    pytest.param(["top3-solve"], errors.MAX_N_TOP3, id="top3"),
+])
+def test_solve_refusal_states_the_n_limit(runner, args, limit):
+    # the limits refuse the n that n * 96 (re-arrival) and n * 24 (top-3)
+    # bytes past 2 GiB refused before the tables were built in blocks
+    assert limit == (2 << 30) // (96 if args[0] == "reappearance-solve" else 24)
+    result = runner.invoke(main, args + ["--n", str(limit + 1)])
+    assert_rejected(result, f"solver accepts n <= {limit}, got n={limit + 1}")
+    assert "GiB" not in result.output
 
 
 def test_stdout_is_not_kept_alive_after_a_command():

@@ -4,7 +4,8 @@ import signal
 import sys
 import threading
 import time
-from itertools import permutations
+import tracemalloc
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -439,6 +440,57 @@ def test_report_independent_of_chunking(monkeypatch, p, k, objective):
         reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+def list_plan(trials, n):
+    """Threads and each lane's (first, rows) chunks, planned as per-chunk lists.
+
+    The plan's reference form: every chunk's rows listed in trial order, the
+    first trials % chunks of them one row longer, and lane j taking chunks
+    j, j + threads, ...
+    """
+    width = six_n_block(n)
+    threads = max(1, min(simulator._WORKERS, simulator._CHUNK_DOUBLES // width))
+    per_chunk = max(1, simulator._CHUNK_DOUBLES // (threads * width))
+    chunks = -(-trials // per_chunk)
+    if chunks == 1:
+        return 1, [[(0, trials)]]
+    chunks = min(trials, -(-chunks // threads) * threads)
+    size, extra = divmod(trials, chunks)
+    rows = [size + 1] * extra + [size] * (chunks - extra)
+    firsts = list(accumulate(rows[:-1], initial=0))
+    return threads, [list(zip(firsts[j::threads], rows[j::threads])) for j in range(threads)]
+
+
+def planned(trials, n):
+    threads, chunks = simulator._schedule(trials, n)
+    return threads, [list(simulator._chunks(trials, chunks, j, threads)) for j in range(threads)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_chunk_plan_matches_per_chunk_lists(monkeypatch, workers):
+    monkeypatch.setattr(simulator, "_WORKERS", workers)
+    for n in (1, 4, 30, 1000, 10**4, 10**6):
+        for trials in (1, 2, 3, 7, 100, 301, 4097, 65537, 10**5 + 3):
+            assert planned(trials, n) == list_plan(trials, n), (trials, n)
+
+
+def test_chunk_plan_memory_does_not_grow_with_trials(monkeypatch):
+    # per-chunk lists took about 60 B a chunk: 132 MiB for 10**11 trials at n = 4
+    trials = 10**13
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    tracemalloc.start()
+    try:
+        threads, chunks = simulator._schedule(trials, 4)
+        heads = [next(simulator._chunks(trials, chunks, j, threads)) for j in range(threads)]
+        last = next(simulator._chunks(trials, chunks, chunks - 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (threads, chunks % threads) == (2, 0) and chunks > 10**8
+    assert heads[0][0] == 0 and heads[1][0] == heads[0][1]
+    assert sum(last) == trials
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
