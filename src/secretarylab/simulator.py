@@ -4,9 +4,11 @@ The physical model draws, per trial: a uniform random assignment of the
 ranks 1..n to candidates, an independent Bernoulli(p) second-appearance
 flag per candidate, and a uniformly random order of all appearance tokens
 (each candidate's earlier token is relabelled appearance 1).  Policies see
-only relative ranks.
+only relative ranks.  At p = 0 no candidate returns, and candidate c
+arrives c-th: the ranks are a uniform permutation independent of the
+arrival order, so every sequence of relative ranks has the same law.
 
-Reproducibility contract (stream layout 2)
+Reproducibility contract (stream layout 3)
 ------------------------------------------
 All randomness comes from a Philox counter-based generator keyed by the
 seed.  Each trial owns a block of the uniforms that can decide its
@@ -22,12 +24,13 @@ At 0 < p < 1 a block holds 6n uniforms:
     [4n, 6n)   policy coins, indexed by event position; the coin at event
                t is consumed only when a fresh leader arrives there
 
-At p in {0, 1} the flags and coins decide nothing (at p = 0 no candidate
-returns and every fresh leader is accepted; at p = 1 the reverse), so a
-block holds 3n uniforms, the rank keys ``[0, n)`` and the shuffle keys
-``[n, 3n)``.  Layout 1 used the 6n block at every p (from n = 256 the p in
-{0, 1} runs drew only their rank and shuffle keys, trial by trial); reports
-at 0 < p < 1 are the same under both, those at p in {0, 1} differ.
+At p = 1 the flags and coins decide nothing (every candidate returns and
+no fresh leader is accepted), so a block holds 3n uniforms, the rank keys
+``[0, n)`` and the shuffle keys ``[n, 3n)``.  At p = 0 the arrival order
+decides nothing either, so a block holds the n rank keys alone.  Layout 1
+used the 6n block at every p and layout 2 the 3n block at p = 0 too;
+reports at 0 < p < 1 are the same under all three, at p = 1 under layouts
+2 and 3.
 
 With the layout fixed, a chunked vectorised run and a per-trial run on
 ``trial_stream(seed, i, n, p)`` produce identical outcomes bit for bit;
@@ -46,16 +49,16 @@ Vectorised kernel
 turns rank keys into ranks: both policies only compare ranks, so each
 event carries its candidate's rank key, a hire is the best candidate when
 its key is the trial's smallest, and a top-3 hire when it is at most the
-third smallest.  At p = 0 only the first token of each candidate exists, so
-only the even shuffle keys are read and sorted.  The policy is evaluated
-without a loop over events: until it stops, its leader is the prefix
-minimum of the keys seen.  Trials are drawn in chunks, at least one trial
-per chunk, and the kernel reads each chunk as views of its ranges.
+third smallest.  At p = 0 the rank keys are the event keys, so nothing is
+sorted.  The policy is evaluated without a loop over events: until it
+stops, its leader is the prefix minimum of the keys seen.  Trials are drawn
+in chunks, at least one trial per chunk, and the kernel reads each chunk as
+views of its ranges.
 
 Ties are the one case where the kernel and the per-trial functions may
 disagree: two candidates with equal 53-bit rank keys (probability at most
-n^2 2^-54 per trial), or at p = 0 with equal first-token shuffle keys (the
-same bound), may be ranked or ordered differently.
+n^2 2^-54 per trial) may be ranked differently, and at p > 0 two tokens
+with equal shuffle keys ordered differently.  At p = 0 only rank keys tie.
 """
 
 from __future__ import annotations
@@ -89,18 +92,18 @@ __all__ = [
     "trial_stream",
 ]
 
-STREAM_LAYOUT = 2  # see the module docstring
+STREAM_LAYOUT = 3  # see the module docstring
 # Uniforms of all chunks in flight (16 MiB of 6n blocks): each of the t
 # threads runs chunks of at most 1/t of it.  Chunks are sized by the 6n block
-# at every p: at p in {0, 1} a chunk draws only 3n uniforms per trial, but its
-# event arrays grow with the trials all the same.  The budget covers the
-# blocks only; the event arrays built from them add at most as much again.
+# at every p: at p = 1 a chunk draws only 3n uniforms per trial and at p = 0
+# only n, but its arrays grow with the trials all the same.  The budget covers
+# the blocks only; the event arrays built from them add at most as much again.
 # All chunks in flight peak together at 28 MiB at n = 100, p = 0.5, at 20 MiB
-# at n = 1000, p = 1 and at 13 and 12 MiB for top-3 at n = 1000 and 10000,
-# on one thread and on two alike (tracemalloc).  Past n = 2**21 // 6 a 6n
-# block fills the budget, so a chunk holds one trial and runs alone; it peaks
-# at 88 bytes per candidate (62 at p = 1, 40 at p = 0; n = 1e6), and an n at
-# which that passes 2 GiB is refused before anything is drawn.  A budget of
+# at n = 1000, p = 1 and at 5 MiB for top-3 at n = 1000 and 10000, on one
+# thread and on two alike (tracemalloc).  Past n = 2**21 // 6 a 6n block fills
+# the budget, so a chunk holds one trial and runs alone; it peaks at 88 bytes
+# per candidate (62 at p = 1, 16 at p = 0; n = 1e6), and an n at which that
+# passes 2 GiB is refused before anything is drawn.  A budget of
 # 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
 # mc-small-n benchmark (2-vCPU VM), against 65 MiB with this one.
 _CHUNK_DOUBLES = 1 << 21
@@ -126,10 +129,9 @@ _pool_lock = threading.Lock()
 def _block_width(n: int, p: float) -> int:
     """Uniforms in a trial's block, padded to whole Philox counter steps.
 
-    6n at 0 < p < 1; 3n at p in {0, 1}, where the flags and coins decide
-    nothing and the block holds only rank keys and shuffle keys.
+    6n at 0 < p < 1, 3n at p = 1 and n at p = 0 (see the module docstring).
     """
-    draws = (3 if p in (0.0, 1.0) else 6) * n
+    draws = (1 if p == 0.0 else 3 if p == 1.0 else 6) * n
     return -(-draws // 4) * 4
 
 
@@ -204,17 +206,17 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
     """Draw one arrival sequence.
 
     Consumes n rank keys, then (only at 0 < p < 1) n flags, then 2n shuffle
-    keys from ``rng``: 4n uniforms, or 3n at p in {0, 1}, where every flag
-    is ``p == 1``.
+    keys from ``rng``: 4n uniforms, 3n at p = 1, where every flag is set,
+    and n at p = 0, where candidate c arrives c-th and only once.
     """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
-    rank_keys = rng.random(n)
-    flags = rng.random(n) < p if 0.0 < p < 1.0 else np.full(n, p == 1.0)
-    shuffle_keys = rng.random(2 * n)
-
-    order = np.argsort(rank_keys)
+    order = np.argsort(rng.random(n))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
+    if p == 0.0:
+        return ArrivalSequence.from_ranks(ranks)
+    flags = rng.random(n) < p if p < 1.0 else np.ones(n, dtype=bool)
+    shuffle_keys = rng.random(2 * n)
 
     tokens = [(shuffle_keys[2 * c], c) for c in range(n)]
     tokens += [(shuffle_keys[2 * c + 1], c) for c in range(n) if flags[c]]
@@ -305,11 +307,14 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Raises DomainError for an n at which one trial would hold over 2 GiB.
+    Raises DomainError for a seed outside the Philox keys 0..2**128-1 and
+    for an n at which one trial would hold over 2 GiB.
     """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise DomainError(f"need an integer seed in 0..2**128-1, got {seed!r}")
     if objective not in ("best", "top3"):
         raise InvalidCombination(f"unknown objective {objective!r}")
     if objective == "top3":
@@ -328,10 +333,8 @@ def estimate(
 
     def chunk_successes(first: int, rows: int) -> int:
         draws = _split_block(trial_stream(seed, first, n, p).random((rows, width)), n, p)
-        if objective == "top3":
-            return _classical_chunk_successes(draws, k, 3)
-        if p == 0.0:  # every event is a fresh candidate and every coin is < 1 - p
-            return _classical_chunk_successes(draws, k, 1)
+        if p == 0.0:  # both objectives: no candidate returns and every coin is < 1 - p
+            return _classical_chunk_successes(draws, k, 3 if objective == "top3" else 1)
         return _best_chunk_successes(draws, p, k)
 
     successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n))
@@ -434,36 +437,30 @@ class _Draws(NamedTuple):
     block: np.ndarray
     rank_keys: np.ndarray
     flags: np.ndarray | None  # None at p in {0, 1}, where the block has none
-    shuffle_keys: np.ndarray
+    shuffle_keys: np.ndarray | None  # None at p = 0, where the block has none
     coins: np.ndarray | None  # None at p in {0, 1}, where the block has none
 
 
 def _split_block(block: np.ndarray, n: int, p: float) -> _Draws:
     """A chunk of whole trial blocks, with views of its ranges."""
     if p in (0.0, 1.0):
-        return _Draws(block, block[:, :n], None, block[:, n:3 * n], None)
+        return _Draws(block, block[:, :n], None, block[:, n:3 * n] if p == 1.0 else None, None)
     return _Draws(block, block[:, :n], block[:, n:2 * n], block[:, 2 * n:4 * n],
                   block[:, 4 * n:6 * n])
 
 
 def _event_keys(draws: _Draws, p: float):
-    """Rank keys of each trial's events in arrival order, mirroring generate_sequence.
+    """Rank keys of each trial's events in arrival order at p > 0, mirroring generate_sequence.
 
     Returns ``(x, second)``.  ``x[i, t]`` is the rank key of the candidate
-    at event t of trial i (a smaller key is a better rank).  ``second``
-    flags second appearances, and is None at p = 0, where only the n first
-    tokens exist and are sorted.  At p > 0 each row has 2n columns: past
-    the trial's events come the missing second tokens, each carrying its
-    candidate's key unflagged, so no policy can accept one.
+    at event t of trial i (a smaller key is a better rank), and ``second``
+    flags second appearances.  Each row has 2n columns: past the trial's
+    events come the missing second tokens, each carrying its candidate's
+    key unflagged, so no policy can accept one.
     """
     t_cnt, n = draws.rank_keys.shape
     width = draws.block.shape[1]
     rank_keys = draws.block.ravel()  # candidate c of trial i at i * width + c
-    if p == 0.0:
-        tok = np.argsort(draws.shuffle_keys[:, 0::2], axis=1)
-        tok += np.arange(0, t_cnt * width, width)[:, None]  # flat block index
-        return rank_keys.take(tok), None
-
     keys = draws.shuffle_keys.copy()
     later = np.empty(keys.shape, dtype=bool)  # the token is an existing second one
     if draws.flags is None:  # p = 1: every candidate returns
@@ -498,13 +495,14 @@ def _hired_keys(x: np.ndarray, accept: np.ndarray) -> np.ndarray:
 def _classical_chunk_successes(draws: _Draws, k: int, r: int) -> int:
     """Trials in which the classical rule (see run_policy_top3) hires one of the r best.
 
+    At p = 0 candidate c arrives c-th, so the rank keys are the event keys.
     The rule takes the first event at position >= k that beats every
     earlier event.  Until it hires, the best key seen is the best of the
     first k, so one comparison per event decides.  A hire is one of the
     trial's keys or inf, so being at most the r-th smallest key means
     ranking among the r best (below n = r, every hire does).
     """
-    x, _ = _event_keys(draws, 0.0)
+    x = draws.rank_keys
     bar = x[:, :k].min(axis=1, initial=np.inf)
     hired = _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
     del bar  # before the partition copy: kept alive, it pinned the heap (peak RSS +3 MiB)

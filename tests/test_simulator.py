@@ -182,8 +182,8 @@ COMPOSITION_CASES = [
     (200, 0.5, 110, "best"),
     (200, 1.0, 94, "best"),
 ]
-# at p in {0, 1} a block holds 3n uniforms, so n mod 4 in {1, 2, 3} pads it
-# by 1, 2 and 3 uniforms to the Philox step grid
+# at p = 1 a block holds 3n uniforms and at p = 0 n, so n mod 4 in {1, 2, 3}
+# pads it to the Philox step grid by 1, 2 and 3 uniforms (3, 2 and 1 at p = 0)
 COMPOSITION_CASES += [
     case
     for n in (1, 2, 3, 5, 6, 7, 1001, 1002, 1003)
@@ -207,52 +207,56 @@ def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective)
 
 
 # successes of fixed runs, kept as literals; (n, p, k, trials, seed,
-# objective, successes under stream layout 1, under layout 2).  A row's test
-# id is its inputs and its layout-1 count, the count it was first pinned with.
-# The rows at 0 < p < 1 were reported by the kernel that ranked candidates and
-# scanned events one position at a time; layout 2 kept their blocks, so both
-# counts are one.  At p in {0, 1} the layout-2 counts were re-pinned from
-# per_trial_successes, and each lies within 4 sigma of its exact value
-# (build_tables or top3_table).  At n = 1001-1003 the 3n blocks end off the
-# Philox step grid.
+# objective, successes under stream layout 1, under layout 2, under layout 3).
+# A row's test id is its inputs and its layout-1 count, the count it was first
+# pinned with.  The rows at 0 < p < 1 were reported by the kernel that ranked
+# candidates and scanned events one position at a time; layouts 2 and 3 kept
+# their blocks, so all three counts are one.  At p = 1 the layout-2 counts
+# were re-pinned from per_trial_successes and layout 3 kept them; at p = 0 the
+# layout-3 counts were.  Each re-pinned count lies within 4 sigma of its exact
+# value (build_tables or top3_table).  The p = 0 kernel reads no shuffle keys,
+# so no test replays a p = 0 row's layout-1 and layout-2 counts; they are kept
+# as history.  At n = 1001-1003 the n and 3n blocks end off the Philox step
+# grid.
 PINNED_COUNTS = [
-    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897),
-    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266),
-    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320),
-    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700),
-    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330),
-    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582),
-    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636),
-    (7, 0.0, 7, 5_000, 8, "best", 0, 0),
-    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067),
-    (100, 0.25, 100, 3_000, 10, "best", 20, 20),
-    (100, 0.0, 99, 3_000, 11, "top3", 40, 38),
-    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98),
-    (1000, 0.5, 430, 1_500, 13, "best", 712, 712),
-    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4),
-    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893),
-    (10_000, 0.5, 1, 300, 16, "best", 5, 5),
-    (10_000, 1.0, 4700, 300, 20, "best", 235, 230),
-    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185),
-    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0),
-    (1001, 0.0, 368, 1_500, 30, "best", 523, 557),
-    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902),
-    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156),
-    (1002, 0.0, 368, 1_500, 33, "best", 574, 546),
-    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934),
-    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129),
-    (1003, 0.0, 368, 1_500, 36, "best", 548, 555),
-    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903),
-    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163),
+    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897, 180897),
+    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266, 1266),
+    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320, 3320),
+    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700, 3688),
+    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330, 1262),
+    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582, 3582),
+    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636, 2636),
+    (7, 0.0, 7, 5_000, 8, "best", 0, 0, 0),
+    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067, 2067),
+    (100, 0.25, 100, 3_000, 10, "best", 20, 20, 20),
+    (100, 0.0, 99, 3_000, 11, "top3", 40, 38, 40),
+    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98, 98),
+    (1000, 0.5, 430, 1_500, 13, "best", 712, 712, 712),
+    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4, 5),
+    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893, 896),
+    (10_000, 0.5, 1, 300, 16, "best", 5, 5, 5),
+    (10_000, 1.0, 4700, 300, 20, "best", 235, 230, 230),
+    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185, 187),
+    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0, 0),
+    (1001, 0.0, 368, 1_500, 30, "best", 523, 557, 569),
+    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902, 893),
+    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156, 1156),
+    (1002, 0.0, 368, 1_500, 33, "best", 574, 546, 540),
+    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934, 880),
+    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129, 1129),
+    (1003, 0.0, 368, 1_500, 36, "best", 548, 555, 521),
+    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903, 919),
+    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163, 1163),
 ]
 PINNED_ROWS = [pytest.param(*row, id="-".join(map(str, row[:7]))) for row in PINNED_COUNTS]
 
 
 class Layout1Stream:
-    """Stream layout 1's uniforms at p in {0, 1}, handed out in layout 2's blocks.
+    """Stream layout 1's uniforms at p = 1, handed out in the 3n blocks of layouts 2 and 3.
 
-    Layout 1 gave trial i the 6n block that layout 2 gives it at 0 < p < 1,
-    and at p in {0, 1} read its rank keys [0, n) and shuffle keys [2n, 4n).
+    Layout 1 gave trial i the 6n block that layouts 2 and 3 give it at
+    0 < p < 1, and at p = 1 read its rank keys [0, n) and shuffle keys
+    [2n, 4n).
     """
 
     def __init__(self, seed, first, n):
@@ -269,28 +273,29 @@ class Layout1Stream:
 
 
 def layout_1_successes(monkeypatch, n, p, k, trials, seed, objective):
-    """Successes of estimate() at p in {0, 1} when its chunks read layout 1's uniforms."""
+    """Successes of estimate() at p = 1 when its chunks read layout 1's uniforms."""
     with monkeypatch.context() as m:
         m.setattr(simulator, "trial_stream", lambda seed, first, n, p: Layout1Stream(seed, first, n))
         return estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective).successes
 
 
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,successes", PINNED_ROWS)
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,layout_2,successes", PINNED_ROWS)
 def test_estimate_matches_pinned_counts(
-    monkeypatch, n, p, k, trials, seed, objective, layout_1, successes
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, successes
 ):
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
-    if p in (0.0, 1.0):
+    if p == 1.0:
         # the layouts differ only in where the kernel's uniforms come from
+        assert layout_2 == successes
         assert layout_1_successes(monkeypatch, n, p, k, trials, seed, objective) == layout_1
-    else:
-        assert layout_1 == successes
+    elif p != 0.0:
+        assert layout_1 == layout_2 == successes
 
 
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,successes", PINNED_ROWS)
+@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,layout_2,successes", PINNED_ROWS)
 def test_pinned_counts_independent_of_worker_count(
-    monkeypatch, n, p, k, trials, seed, objective, layout_1, successes
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, successes
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
@@ -498,7 +503,7 @@ def test_ranged_draw_is_bit_identical_to_trial_streams(n):
     # at p in {0, 1} a block holds only the ranges the kernel reads, so one
     # draw of whole blocks is the ranged draw; each row must be what
     # generate_sequence reads from that trial's stream, wherever the chunk
-    # starts and however the 3n block pads to the Philox step grid
+    # starts and however the n or 3n block pads to the Philox step grid
     seed = 29
     for p in (0.0, 1.0):
         width = simulator._block_width(n, p)
@@ -506,10 +511,12 @@ def test_ranged_draw_is_bit_identical_to_trial_streams(n):
             block = trial_stream(seed, first, n, p).random((rows, width))
             draws = simulator._split_block(block, n, p)
             assert draws.flags is None and draws.coins is None
+            assert (draws.shuffle_keys is None) == (p == 0.0)
             for row in range(rows):
                 gen = trial_stream(seed, first + row, n, p)
                 assert draws.rank_keys[row].tobytes() == gen.random(n).tobytes()
-                assert draws.shuffle_keys[row].tobytes() == gen.random(2 * n).tobytes()
+                if p == 1.0:
+                    assert draws.shuffle_keys[row].tobytes() == gen.random(2 * n).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 255, 256, 1001])
@@ -528,9 +535,45 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
     estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     width = simulator._block_width(n, p)
-    assert width == -(-(3 if p in (0.0, 1.0) else 6) * n // 4) * 4
+    assert width == -(-{0.0: 1, 1.0: 3}.get(p, 6) * n // 4) * 4
     # 5 chunks of 2 rounded up to 6 and balanced, in any order
     assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
+
+
+@pytest.mark.parametrize("n", [4, 1001])
+@pytest.mark.parametrize("objective,k", [("best", 2), ("top3", 1)])
+def test_p0_chunks_draw_rank_keys_alone_and_never_sort(monkeypatch, n, objective, k):
+    # at p = 0 candidate c arrives c-th, so a chunk draws n rank keys a trial
+    # (padded to the Philox step grid) and reads them as its event keys
+    trials, seed = 12, 41
+    expected = per_trial_successes(n, 0.0, k, trials, seed, objective)
+    shapes = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, *args, **kwargs):
+            shapes.append(args[0])
+            return super().random(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted at p = 0")
+
+    monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(simulator.np, "argsort", refuse)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
+    report = estimate(n=n, p=0.0, k=k, trials=trials, seed=seed, objective=objective)
+    assert report.successes == expected
+    assert shapes == [(2, -(-n // 4) * 4)] * 6
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
+def test_estimate_rejects_seed_outside_philox_keys(monkeypatch, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew uniforms for an invalid seed")
+
+    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    with pytest.raises(DomainError, match="seed"):
+        estimate(n=10, p=0.0, k=3, trials=10, seed=seed)
 
 
 def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
