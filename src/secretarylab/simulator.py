@@ -4,33 +4,45 @@ The physical model draws, per trial: a uniform random assignment of the
 ranks 1..n to candidates, an independent Bernoulli(p) second-appearance
 flag per candidate, and a uniformly random order of all appearance tokens
 (each candidate's earlier token is relabelled appearance 1).  Policies see
-only relative ranks.  At p = 0 no candidate returns, and candidate c
-arrives c-th: the ranks are a uniform permutation independent of the
-arrival order, so every sequence of relative ranks has the same law.
+only relative ranks.  The simulator realises that order in continuous time
+(Bruss, Ann. Probab. 12(3), 1984): every token gets an independent
+Uniform(0, 1) time, and candidates are numbered in order of arrival.  A
+candidate's first time then has CDF G(a) = (1+p)a - pa^2, and given it is
+a, the candidate returns with probability 2p(1-a)/G'(a), at a time uniform
+on (a, 1).  At p = 0 no candidate returns and candidate c arrives c-th.
 
-Reproducibility contract (stream layout 3)
+Reproducibility contract (stream layout 4)
 ------------------------------------------
 All randomness comes from a Philox counter-based generator keyed by the
 seed.  Each trial owns a block of the uniforms that can decide its
 outcome, padded up to a whole number of Philox counter steps (4 outputs
 each); trial ``i``'s block starts at counter ``i * _block_width(n, p) / 4``.
-At 0 < p < 1 a block holds 6n uniforms:
+At 0 < p < 1 a block holds 4n uniforms; candidates j = 0..n-1 in arrival order:
 
-    [0,   n)   rank keys: candidate c's rank is the position of its key in
+    [0,   n)   rank keys: candidate j's rank is the position of key j in
                ascending order, plus one
-    [n,  2n)   second-appearance flags: candidate c returns iff u < p
-    [2n, 4n)   token shuffle keys, two per candidate; arrival order is the
-               ascending-key order of the existing tokens
-    [4n, 6n)   policy coins, indexed by event position; the coin at event
-               t is consumed only when a fresh leader arrives there
+    [n,  2n)   arrival keys: candidate j arrives at a_j = G^-1(u_(j)), where
+               u_(0) <= ... <= u_(n-1) are the keys sorted and
+               G^-1(u) = 2u / ((1+p) + sqrt((1+p)^2 - 4pu))
+    [2n, 3n)   return keys: candidate j returns at
+               b_j = a_j + v_j ((1+p)/(2p) - a_j), v_j its key, iff b_j < 1
+    [3n, 4n)   policy coins, coin j consumed only when candidate j arrives
+               as a fresh leader in the selection phase
 
-At p = 1 the flags and coins decide nothing (every candidate returns and
-no fresh leader is accepted), so a block holds 3n uniforms, the rank keys
-``[0, n)`` and the shuffle keys ``[n, 3n)``.  At p = 0 the arrival order
-decides nothing either, so a block holds the n rank keys alone.  Layout 1
-used the 6n block at every p and layout 2 the 3n block at p = 0 too;
-reports at 0 < p < 1 are the same under all three, at p = 1 under layouts
-2 and 3.
+This is the physical law: the a_j are the ordered first times of n
+candidates, each with CDF G; given a_j, b_j < 1 with probability
+(1 - a_j) / ((1+p)/(2p) - a_j) = 2p(1-a_j)/G'(a_j), and b_j is then uniform
+on (a_j, 1); rank and return keys are i.i.d. and independent of the
+arrival keys, so they can be given out by arrival position.  G is
+increasing, so the code orders tokens by G(a_j) = u_(j) and
+G(b_j) = u_(j) + v_j (2 - v_j) ((1+p)^2/(4p) - u_(j)) and computes no time.
+
+At p = 1 the coins decide nothing (no fresh leader is accepted), so a block
+holds 3n uniforms, the first three ranges.  At p = 0 only the rank keys
+decide, so a block holds those n alone.  Layout 1 drew a 6n block at every
+p (rank keys, flags, two shuffle keys per candidate ordered by an argsort,
+coins by event position), layout 2 a 3n block at p in {0, 1}, and layout 3
+the n block at p = 0; reports at p = 0 are the same under layouts 3 and 4.
 
 With the layout fixed, a chunked vectorised run and a per-trial run on
 ``trial_stream(seed, i, n, p)`` produce identical outcomes bit for bit;
@@ -46,19 +58,25 @@ needs it and kept for later calls.
 Vectorised kernel
 -----------------
 ``estimate`` reads the same layout as the per-trial functions but never
-turns rank keys into ranks: both policies only compare ranks, so each
-event carries its candidate's rank key, a hire is the best candidate when
-its key is the trial's smallest, and a top-3 hire when it is at most the
-third smallest.  At p = 0 the rank keys are the event keys, so nothing is
-sorted.  The policy is evaluated without a loop over events: until it
-stops, its leader is the prefix minimum of the keys seen.  Trials are drawn
-in chunks, at least one trial per chunk, and the kernel reads each chunk as
-views of its ranges.
+turns rank keys into ranks: both policies only compare ranks, so a hire is
+the best candidate when its key is the trial's smallest, and a top-3 hire
+when it is at most the third smallest.  At p = 0 the rank keys are in
+arrival order, so nothing is sorted.  At p > 0 one value sort of the n
+arrival keys orders the candidates, and the policy is evaluated per candidate:
+until it stops, its leader is the best candidate seen, so it can hire only
+records (keys equal to their prefix minimum).  Record j is hired on its
+return iff a_(k-1) <= b_j < the next record's arrival (1 if none comes),
+and on arrival iff j >= k and its coin is below 1 - p.  These windows are
+disjoint and ordered in time, so a trial succeeds iff the last record, the
+best candidate, is the only record hired.  Trials are drawn in chunks, at
+least one trial per chunk, and the kernel reads each chunk as views of its
+ranges.
 
-Ties are the one case where the kernel and the per-trial functions may
-disagree: two candidates with equal 53-bit rank keys (probability at most
-n^2 2^-54 per trial) may be ranked differently, and at p > 0 two tokens
-with equal shuffle keys ordered differently.  At p = 0 only rank keys tie.
+Ties: two candidates with equal 53-bit rank keys (probability at most
+n^2 2^-54 per trial) may be ranked differently by the kernel and by the
+per-trial functions.  At p > 0 a return can also tie with an arrival, or
+two arrivals tie (equal G-images); both paths put arrivals before returns
+and arrivals in candidate order, so those ties decide alike.
 """
 
 from __future__ import annotations
@@ -66,7 +84,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,22 +109,23 @@ __all__ = [
     "trial_stream",
 ]
 
-STREAM_LAYOUT = 3  # see the module docstring
-# Uniforms of all chunks in flight (16 MiB of 6n blocks): each of the t
+STREAM_LAYOUT = 4  # see the module docstring
+# Uniforms of all chunks in flight (16 MiB at 6 per candidate): each of the t
 # threads runs chunks of at most 1/t of it.  Chunks are sized by the 6n block
-# at every p: at p = 1 a chunk draws only 3n uniforms per trial and at p = 0
-# only n, but its arrays grow with the trials all the same.  The budget covers
-# the blocks only; the event arrays built from them add at most as much again.
-# All chunks in flight peak together at 28 MiB at n = 100, p = 0.5, at 20 MiB
-# at n = 1000, p = 1 and at 5 MiB for top-3 at n = 1000 and 10000, on one
-# thread and on two alike (tracemalloc).  Past n = 2**21 // 6 a 6n block fills
-# the budget, so a chunk holds one trial and runs alone; it peaks at 88 bytes
-# per candidate (62 at p = 1, 16 at p = 0; n = 1e6), and an n at which that
-# passes 2 GiB is refused before anything is drawn.  A budget of
-# 1 << 23 shared by two threads peaked at 117-153 MiB of RSS in the
-# mc-small-n benchmark (2-vCPU VM), against 65 MiB with this one.
+# of layout 1, padded like a trial's block, at every p, although a trial now
+# draws at most 4n uniforms: the plan, the rows per chunk and the threads are
+# those of layouts 1-3 for every (trials, n).  The budget covers the blocks
+# only; the kernel's arrays add at most as much again.  All chunks in flight
+# peak together at 22 MiB at n = 100, p = 0.5, at 19 MiB at n = 1000, p = 1
+# and at 5 MiB for top-3 at n = 1000 and 10000, on one thread and on two
+# alike (tracemalloc).  Past n = 2**21 // 6 a 6n block fills the budget, so a
+# chunk holds one trial and runs alone; it peaks at 67 bytes per candidate
+# (58 at p = 1, 16 at p = 0; n = 1e6), and an n at which that passes 2 GiB is
+# refused before anything is drawn.  A budget of 1 << 23 shared by two
+# threads peaked at 117-153 MiB of RSS in the mc-small-n benchmark (2-vCPU
+# VM), against 65 MiB with this one.
 _CHUNK_DOUBLES = 1 << 21
-_TRIAL_BYTES_PER_CANDIDATE = 88
+_TRIAL_BYTES_PER_CANDIDATE = 67
 # One worker per CPU this process may run on.  numpy releases the GIL in the
 # Philox fill, the sorts, take, partition and ufunc loops, so chunks on
 # different threads overlap.
@@ -129,9 +147,9 @@ _pool_lock = threading.Lock()
 def _block_width(n: int, p: float) -> int:
     """Uniforms in a trial's block, padded to whole Philox counter steps.
 
-    6n at 0 < p < 1, 3n at p = 1 and n at p = 0 (see the module docstring).
+    4n at 0 < p < 1, 3n at p = 1 and n at p = 0 (see the module docstring).
     """
-    draws = (1 if p == 0.0 else 3 if p == 1.0 else 6) * n
+    draws = (1 if p == 0.0 else 3 if p == 1.0 else 4) * n
     return -(-draws // 4) * 4
 
 
@@ -205,9 +223,10 @@ def trial_stream(seed: int, index: int, n: int, p: float) -> np.random.Generator
 def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequence:
     """Draw one arrival sequence.
 
-    Consumes n rank keys, then (only at 0 < p < 1) n flags, then 2n shuffle
-    keys from ``rng``: 4n uniforms, 3n at p = 1, where every flag is set,
-    and n at p = 0, where candidate c arrives c-th and only once.
+    Consumes n rank keys and, at p > 0, n arrival keys and n return keys
+    from ``rng`` (see the module docstring); at p = 0 candidate c arrives
+    c-th and only once.  Candidate c is the c-th to arrive, and at equal
+    times arrivals come before returns.
     """
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
     order = np.argsort(rng.random(n))
@@ -215,21 +234,29 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
     ranks[order] = np.arange(1, n + 1)
     if p == 0.0:
         return ArrivalSequence.from_ranks(ranks)
-    flags = rng.random(n) < p if p < 1.0 else np.ones(n, dtype=bool)
-    shuffle_keys = rng.random(2 * n)
+    u = np.sort(rng.random(n))
+    returns = _returns(u, rng.random(n), p).tolist()
+    tokens = sorted([(x, 0, c) for c, x in enumerate(u.tolist())]
+                    + [(x, 1, c) for c, x in enumerate(returns) if x < 1.0])
+    return ArrivalSequence(events=tuple(
+        ArrivalEvent(candidate=c + 1, rank=int(ranks[c]), appearance=kind + 1)
+        for _, kind, c in tokens), n=n)
 
-    tokens = [(shuffle_keys[2 * c], c) for c in range(n)]
-    tokens += [(shuffle_keys[2 * c + 1], c) for c in range(n) if flags[c]]
-    tokens.sort()
 
-    seen: dict[int, int] = {}
-    events = []
-    for _, c in tokens:
-        seen[c] = seen.get(c, 0) + 1
-        events.append(
-            ArrivalEvent(candidate=c + 1, rank=int(ranks[c]), appearance=seen[c])
-        )
-    return ArrivalSequence(events=tuple(events), n=n)
+def _returns(u: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """G(b) of candidates with sorted arrival keys u = G(a) and return keys v, at p > 0.
+
+    G(b) = u + v(2 - v)((1+p)^2/(4p) - u), below 1 iff the candidate
+    returns.  G is increasing, so these and the keys order the tokens as
+    their times do, and no time is computed.
+    """
+    # (1+p)^2/(4p) is inf at p = 5e-324, and 0 * inf is NaN; past 2**60 any
+    # return key above 0 puts G(b) past 1 either way
+    g = np.subtract(min((1.0 + p) ** 2 / (4.0 * p), 2.0**60), u)
+    g *= v
+    g *= np.subtract(2.0, v)
+    g += u
+    return g
 
 
 def run_policy_reappearance(
@@ -241,15 +268,15 @@ def run_policy_reappearance(
     seen, rejecting everything while tracking the leader.  Selection phase:
     accept the leader's return; accept a fresh leader with probability 1-p
     (on rejection it becomes the new leader); accept a better candidate's
-    second arrival.  At 0 < p < 1 consumes a block of 2n uniforms from
-    ``rng`` up front, and the coin for the event at position t is block[t];
-    at p in {0, 1} the coin decides nothing and none is drawn.
+    second arrival.  At 0 < p < 1 consumes n coins from ``rng`` up front,
+    the coin of candidate c being coins[c - 1]; at p in {0, 1} the coin
+    decides nothing and none is drawn.
     """
     n = seq.n
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
     # every coin p accepts a fresh leader at p = 0 and never at p = 1
-    coins = rng.random(2 * n) if 0.0 < p < 1.0 else np.full(2 * n, p)
+    coins = rng.random(n) if 0.0 < p < 1.0 else np.full(n, p)
 
     distinct = 0
     lead_cand = None
@@ -269,7 +296,7 @@ def run_policy_reappearance(
                 # better candidate returning; cannot occur while the leader
                 # tracks the best of all appearances, kept for completeness
                 return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
-            if coins[t] < 1.0 - p:
+            if coins[ev.candidate - 1] < 1.0 - p:
                 return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
             lead_cand, lead_rank = ev.candidate, ev.rank
     return TrialOutcome(chosen_rank=None, stopped_at=None)
@@ -307,14 +334,19 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Raises DomainError for a seed outside the Philox keys 0..2**128-1 and
-    for an n at which one trial would hold over 2 GiB.
+    Raises InvalidSpec for an n that is not an integer, and DomainError for
+    a k or trials that is not, a seed outside the Philox keys 0..2**128-1
+    and an n at which one trial would hold over 2 GiB (bools are refused).
     """
+    if not _integer(n):
+        raise InvalidSpec(f"need an integer n, got {n!r}")
     ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+    if not _integer(trials) or trials < 1:
+        raise DomainError(f"need an integer trials >= 1, got {trials!r}")
+    if not _integer(seed) or not 0 <= seed < 2**128:
         raise DomainError(f"need an integer seed in 0..2**128-1, got {seed!r}")
+    if not _integer(k):
+        raise DomainError(f"need an integer threshold k, got {k!r}")
     if objective not in ("best", "top3"):
         raise InvalidCombination(f"unknown objective {objective!r}")
     if objective == "top3":
@@ -332,10 +364,10 @@ def estimate(
     width = _block_width(n, p)
 
     def chunk_successes(first: int, rows: int) -> int:
-        draws = _split_block(trial_stream(seed, first, n, p).random((rows, width)), n, p)
+        block = trial_stream(seed, first, n, p).random((rows, width))
         if p == 0.0:  # both objectives: no candidate returns and every coin is < 1 - p
-            return _classical_chunk_successes(draws, k, 3 if objective == "top3" else 1)
-        return _best_chunk_successes(draws, p, k)
+            return _classical_chunk_successes(block, n, k, 3 if objective == "top3" else 1)
+        return _best_chunk_successes(block, n, p, k)
 
     successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n))
     est = successes / trials
@@ -345,17 +377,22 @@ def estimate(
     )
 
 
+def _integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _schedule(trials: int, n: int) -> tuple[int, int]:
     """Threads to run on, and the number of chunks the trials are split into.
 
-    ``_CHUNK_DOUBLES`` bounds the 6n blocks of all chunks in flight, at
-    every p: each of ``threads`` workers holds at most its share, and a
-    trial wider than that share runs alone.  Several chunks come in a
+    ``_CHUNK_DOUBLES`` bounds all chunks in flight, counting 6n padded
+    uniforms a trial at every p: each of ``threads`` workers holds at most
+    its share, and a trial wider than that share runs alone.  Several chunks come in a
     multiple of ``threads`` with balanced rows, so no worker is left with a
     short tail; a single chunk, or a single thread, runs in the caller's
     thread.
     """
-    width = _block_width(n, 0.5)  # the 6n block
+    width = -(-6 * n // 4) * 4
     threads = max(1, min(_WORKERS, _CHUNK_DOUBLES // width))
     per_chunk = max(1, _CHUNK_DOUBLES // (threads * width))
     chunks = -(-trials // per_chunk)
@@ -431,58 +468,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-class _Draws(NamedTuple):
-    """A chunk of trial blocks, one row per trial, and views of its ranges."""
-
-    block: np.ndarray
-    rank_keys: np.ndarray
-    flags: np.ndarray | None  # None at p in {0, 1}, where the block has none
-    shuffle_keys: np.ndarray | None  # None at p = 0, where the block has none
-    coins: np.ndarray | None  # None at p in {0, 1}, where the block has none
-
-
-def _split_block(block: np.ndarray, n: int, p: float) -> _Draws:
-    """A chunk of whole trial blocks, with views of its ranges."""
-    if p in (0.0, 1.0):
-        return _Draws(block, block[:, :n], None, block[:, n:3 * n] if p == 1.0 else None, None)
-    return _Draws(block, block[:, :n], block[:, n:2 * n], block[:, 2 * n:4 * n],
-                  block[:, 4 * n:6 * n])
-
-
-def _event_keys(draws: _Draws, p: float):
-    """Rank keys of each trial's events in arrival order at p > 0, mirroring generate_sequence.
-
-    Returns ``(x, second)``.  ``x[i, t]`` is the rank key of the candidate
-    at event t of trial i (a smaller key is a better rank), and ``second``
-    flags second appearances.  Each row has 2n columns: past the trial's
-    events come the missing second tokens, each carrying its candidate's
-    key unflagged, so no policy can accept one.
-    """
-    t_cnt, n = draws.rank_keys.shape
-    width = draws.block.shape[1]
-    rank_keys = draws.block.ravel()  # candidate c of trial i at i * width + c
-    keys = draws.shuffle_keys.copy()
-    later = np.empty(keys.shape, dtype=bool)  # the token is an existing second one
-    if draws.flags is None:  # p = 1: every candidate returns
-        np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
-        np.logical_not(later[:, 0::2], out=later[:, 1::2])
-    else:
-        single = draws.flags >= p
-        keys[:, 1::2][single] = np.inf  # missing second tokens sort to the tail
-        np.greater(keys[:, 0::2], keys[:, 1::2], out=later[:, 0::2])
-        np.logical_or(later[:, 0::2], single, out=later[:, 1::2])
-        np.logical_not(later[:, 1::2], out=later[:, 1::2])
-
-    tok = np.argsort(keys, axis=1)
-    del keys
-    tok += np.arange(0, t_cnt * 2 * n, 2 * n)[:, None]  # flat token index
-    second = later.ravel().take(tok)
-    del later
-    tok >>= 1  # i * n + c
-    tok += np.arange(0, t_cnt * (width - n), width - n)[:, None]  # flat block index
-    return rank_keys.take(tok), second
-
-
 def _hired_keys(x: np.ndarray, accept: np.ndarray) -> np.ndarray:
     """Rank key of each trial's first accepted event; inf where none is accepted."""
     if accept.shape[1] == 0:  # the classical rule at k = n
@@ -492,7 +477,7 @@ def _hired_keys(x: np.ndarray, accept: np.ndarray) -> np.ndarray:
     return np.where(hired, np.take_along_axis(x, first, axis=1), np.inf)[:, 0]
 
 
-def _classical_chunk_successes(draws: _Draws, k: int, r: int) -> int:
+def _classical_chunk_successes(block: np.ndarray, n: int, k: int, r: int) -> int:
     """Trials in which the classical rule (see run_policy_top3) hires one of the r best.
 
     At p = 0 candidate c arrives c-th, so the rank keys are the event keys.
@@ -502,32 +487,38 @@ def _classical_chunk_successes(draws: _Draws, k: int, r: int) -> int:
     trial's keys or inf, so being at most the r-th smallest key means
     ranking among the r best (below n = r, every hire does).
     """
-    x = draws.rank_keys
+    x = block[:, :n]
     bar = x[:, :k].min(axis=1, initial=np.inf)
     hired = _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
     del bar  # before the partition copy: kept alive, it pinned the heap (peak RSS +3 MiB)
     kth = min(r, x.shape[1]) - 1
-    rth = np.partition(draws.rank_keys, kth, axis=1)[:, kth]
+    rth = np.partition(x, kth, axis=1)[:, kth]
     return int(np.count_nonzero(hired <= rth))
 
 
-def _best_chunk_successes(draws: _Draws, p: float, k: int) -> int:
-    """Trials in which the re-arrival policy hires the best, at 0 < p <= 1."""
-    x, second = _event_keys(draws, p)
-    # Until the policy stops, its leader is the best key seen so far (it
-    # moves only to a better fresh candidate it turns down), so from the
-    # second event on it is the prefix minimum.  Only a fresh candidate
-    # can beat it and only its own return can tie it.  Selection starts
-    # once k distinct candidates have been seen.
-    selecting = np.cumsum(~second[:, :-1], axis=1, dtype=np.int32) >= k
-    leader = np.minimum.accumulate(x[:, :-1], axis=1)
-    x_next = x[:, 1:]
-    if draws.coins is None:  # p = 1: no coin is below 1 - p
-        accept = (x_next == leader) & second[:, 1:]
-    else:  # coin accept first: two bool temporaries at a time, not three
-        accept = (x_next < leader) & (draws.coins[:, 1:] < 1.0 - p)
-        accept |= (x_next == leader) & second[:, 1:]
-    accept &= selecting
-    hired = _hired_keys(x_next, accept)
-    best = np.minimum(leader[:, -1], x[:, -1])
-    return int(np.count_nonzero(hired == best))
+def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
+    """Trials in which the re-arrival policy hires the best, at 0 < p <= 1.
+
+    Record j (a key equal to its prefix minimum) is hired iff it returns in
+    the selection phase before the next record arrives, or arrives in it and
+    its coin accepts; the trial succeeds iff only the last record is hired.
+    """
+    x = block[:, :n]
+    u = np.sort(block[:, n:2 * n], axis=1)
+    g = _returns(u, block[:, 2 * n:3 * n], p)
+    leader = np.minimum.accumulate(x, axis=1)
+    record = x == leader
+    best = x == leader[:, -1:]
+    del leader
+    # G(a) of the next record's arrival after each candidate, 1 where none comes
+    na = np.empty_like(u)
+    na[:, -1] = 1.0
+    np.minimum.accumulate(np.where(record[:, :0:-1], u[:, :0:-1], 1.0), axis=1, out=na[:, -2::-1])
+    # a return is in the selection phase iff it is at or after a_(k-1), as any at j >= k is
+    hired = g >= u[:, k - 1:k]
+    hired &= g < na
+    del na
+    if p < 1.0:  # at p = 1 no coin is below 1 - p
+        hired[:, k:] |= block[:, 3 * n + k:4 * n] < 1.0 - p
+    hired &= record
+    return int(np.count_nonzero((hired == best).all(axis=1)))

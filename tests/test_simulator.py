@@ -5,7 +5,10 @@ import sys
 import threading
 import time
 import tracemalloc
-from itertools import accumulate, permutations
+import warnings
+from fractions import Fraction
+from itertools import accumulate, permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from secretarylab import (
     trial_stream,
 )
 from secretarylab import simulator
+from secretarylab.oracle import exact_reappearance
 from secretarylab.errors import (
     DomainError,
     IndexOutOfRange,
@@ -42,8 +46,8 @@ def rng(seed=0):
 
 
 def six_n_block(n):
-    """The 6n block by which estimate() sizes its chunks, at every p."""
-    return simulator._block_width(n, 0.5)
+    """The 6n width, padded like a block, by which estimate() sizes its chunks at every p."""
+    return -(-6 * n // 4) * 4
 
 
 def per_trial_successes(n, p, k, trials, seed, objective):
@@ -207,95 +211,84 @@ def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective)
 
 
 # successes of fixed runs, kept as literals; (n, p, k, trials, seed,
-# objective, successes under stream layout 1, under layout 2, under layout 3).
-# A row's test id is its inputs and its layout-1 count, the count it was first
-# pinned with.  The rows at 0 < p < 1 were reported by the kernel that ranked
-# candidates and scanned events one position at a time; layouts 2 and 3 kept
-# their blocks, so all three counts are one.  At p = 1 the layout-2 counts
-# were re-pinned from per_trial_successes and layout 3 kept them; at p = 0 the
-# layout-3 counts were.  Each re-pinned count lies within 4 sigma of its exact
-# value (build_tables or top3_table).  The p = 0 kernel reads no shuffle keys,
-# so no test replays a p = 0 row's layout-1 and layout-2 counts; they are kept
-# as history.  At n = 1001-1003 the n and 3n blocks end off the Philox step
-# grid.
+# objective, successes under stream layout 1, under layout 2, under layout 3,
+# under layout 4).  A row's test id is its inputs and its layout-1 count, the
+# count it was first pinned with.  The rows at 0 < p < 1 were reported by the
+# kernel that ranked candidates and scanned events one position at a time;
+# layouts 2 and 3 kept their blocks, so their first three counts are one.  At
+# p = 1 the layout-2 counts were re-pinned from per_trial_successes and layout
+# 3 kept them; at p = 0 the layout-3 counts were, and layout 4 kept them.  At
+# p > 0 the layout-4 counts were re-pinned from estimate() and equal
+# per_trial_successes.  Every re-pinned count lies within 4 sigma of its exact
+# value, or of the layout-3 count where none is known (see
+# test_pinned_counts_lie_near_their_references).  No kernel reads the
+# shuffle keys of layouts 1-3, so their counts are kept as history only.  At
+# n = 1001-1003 the n and 3n blocks end off the Philox step grid.
 PINNED_COUNTS = [
-    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897, 180897),
-    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266, 1266),
-    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320, 3320),
-    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700, 3688),
-    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330, 1262),
-    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582, 3582),
-    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636, 2636),
-    (7, 0.0, 7, 5_000, 8, "best", 0, 0, 0),
-    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067, 2067),
-    (100, 0.25, 100, 3_000, 10, "best", 20, 20, 20),
-    (100, 0.0, 99, 3_000, 11, "top3", 40, 38, 40),
-    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98, 98),
-    (1000, 0.5, 430, 1_500, 13, "best", 712, 712, 712),
-    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4, 5),
-    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893, 896),
-    (10_000, 0.5, 1, 300, 16, "best", 5, 5, 5),
-    (10_000, 1.0, 4700, 300, 20, "best", 235, 230, 230),
-    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185, 187),
-    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0, 0),
-    (1001, 0.0, 368, 1_500, 30, "best", 523, 557, 569),
-    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902, 893),
-    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156, 1156),
-    (1002, 0.0, 368, 1_500, 33, "best", 574, 546, 540),
-    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934, 880),
-    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129, 1129),
-    (1003, 0.0, 368, 1_500, 36, "best", 548, 555, 521),
-    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903, 919),
-    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163, 1163),
+    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897, 180897, 181683),
+    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266, 1266, 1321),
+    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320, 3320, 3304),
+    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700, 3688, 3688),
+    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330, 1262, 1262),
+    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582, 3582, 3533),
+    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636, 2636, 2697),
+    (7, 0.0, 7, 5_000, 8, "best", 0, 0, 0, 0),
+    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067, 2067, 2056),
+    (100, 0.25, 100, 3_000, 10, "best", 20, 20, 20, 26),
+    (100, 0.0, 99, 3_000, 11, "top3", 40, 38, 40, 40),
+    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98, 98, 87),
+    (1000, 0.5, 430, 1_500, 13, "best", 712, 712, 712, 717),
+    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4, 5, 5),
+    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893, 896, 896),
+    (10_000, 0.5, 1, 300, 16, "best", 5, 5, 5, 5),
+    (10_000, 1.0, 4700, 300, 20, "best", 235, 230, 230, 227),
+    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185, 187, 187),
+    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0, 0, 0),
+    (1001, 0.0, 368, 1_500, 30, "best", 523, 557, 569, 569),
+    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902, 893, 893),
+    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156, 1156, 1172),
+    (1002, 0.0, 368, 1_500, 33, "best", 574, 546, 540, 540),
+    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934, 880, 880),
+    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129, 1129, 1180),
+    (1003, 0.0, 368, 1_500, 36, "best", 548, 555, 521, 521),
+    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903, 919, 919),
+    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163, 1163, 1141),
 ]
 PINNED_ROWS = [pytest.param(*row, id="-".join(map(str, row[:7]))) for row in PINNED_COUNTS]
 
 
-class Layout1Stream:
-    """Stream layout 1's uniforms at p = 1, handed out in the 3n blocks of layouts 2 and 3.
-
-    Layout 1 gave trial i the 6n block that layouts 2 and 3 give it at
-    0 < p < 1, and at p = 1 read its rank keys [0, n) and shuffle keys
-    [2n, 4n).
-    """
-
-    def __init__(self, seed, first, n):
-        self.gen = trial_stream(seed, first, n, 0.5)
-        self.n = n
-
-    def random(self, shape):
-        n = self.n
-        six = self.gen.random((shape[0], six_n_block(n)))
-        block = np.zeros(shape)
-        block[:, :n] = six[:, :n]
-        block[:, n:3 * n] = six[:, 2 * n:4 * n]
-        return block
+PINNED_COLUMNS = "n,p,k,trials,seed,objective,layout_1,layout_2,layout_3,successes"
 
 
-def layout_1_successes(monkeypatch, n, p, k, trials, seed, objective):
-    """Successes of estimate() at p = 1 when its chunks read layout 1's uniforms."""
-    with monkeypatch.context() as m:
-        m.setattr(simulator, "trial_stream", lambda seed, first, n, p: Layout1Stream(seed, first, n))
-        return estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective).successes
-
-
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,layout_2,successes", PINNED_ROWS)
+@pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
 def test_estimate_matches_pinned_counts(
-    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, successes
+    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
 ):
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
-    if p == 1.0:
-        # the layouts differ only in where the kernel's uniforms come from
-        assert layout_2 == successes
-        assert layout_1_successes(monkeypatch, n, p, k, trials, seed, objective) == layout_1
-    elif p != 0.0:
-        assert layout_1 == layout_2 == successes
+    if p == 0.0:  # a p = 0 block is the same under layouts 3 and 4
+        assert layout_3 == successes
 
 
-@pytest.mark.parametrize("n,p,k,trials,seed,objective,layout_1,layout_2,successes", PINNED_ROWS)
+@pytest.mark.parametrize(PINNED_COLUMNS, [row for row in PINNED_ROWS if row.values[1] > 0])
+def test_pinned_counts_lie_near_their_references(
+    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
+):
+    # the exact value where one is known, else the layout-3 count, an
+    # independent estimate of the same value
+    if n <= 4 or p == 1.0:
+        exact = (float(exact_reappearance(n, Fraction(p), k).probability) if n <= 4
+                 else float(build_tables(ProblemSpec(n=n, p=1.0)).f[k]))
+        reference, var = trials * exact, trials * exact * (1 - exact)
+    else:
+        q = (layout_3 + successes) / (2 * trials)
+        reference, var = layout_3, 2 * trials * q * (1 - q)
+    assert abs(successes - reference) <= 4 * np.sqrt(var)
+
+
+@pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
 def test_pinned_counts_independent_of_worker_count(
-    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, successes
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
@@ -338,9 +331,9 @@ def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
     kernel = simulator._best_chunk_successes
     chunks = []
 
-    def recording(draws, p, k):
-        chunks.append((draws.rank_keys.shape[0], threading.get_ident()))
-        return kernel(draws, p, k)
+    def recording(block, n, p, k):
+        chunks.append((block.shape[0], threading.get_ident()))
+        return kernel(block, n, p, k)
 
     monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
     assert estimate(n=n, p=0.4, k=12, trials=trials, seed=seed) == expected
@@ -357,9 +350,9 @@ def test_threaded_calls_share_the_pool_workers(monkeypatch):
     kernel = simulator._best_chunk_successes
     workers = set()
 
-    def recording(draws, p, k):
+    def recording(block, n, p, k):
         workers.add(threading.current_thread())
-        return kernel(draws, p, k)
+        return kernel(block, n, p, k)
 
     monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
     for _ in range(3):
@@ -390,33 +383,34 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
 ])
 def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective):
     trials, seed, k = 200, 19, 2
-    width = six_n_block(n)  # the budget counts 6n blocks at every p
+    width = six_n_block(n)  # the budget counts 6n padded uniforms a trial at every p
     expected = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     budget = 10 * width
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
     monkeypatch.setattr(simulator, "_WORKERS", 3)  # more threads than a 2-CPU machine has CPUs
     lock = threading.Lock()
     doubles = {"in_flight": 0, "peak": 0}
-    split = simulator._split_block
 
-    def drawn(block, n, p):
-        # a chunk is in flight from its drawn uniforms until its kernel returns
-        with lock:
-            doubles["in_flight"] += block.shape[0] * width
-            doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
-        time.sleep(0.001)  # hold the chunk so that others overlap it
-        return split(block, n, p)
+    class DrawingGenerator(np.random.Generator):
+        def random(self, shape):
+            # a chunk is in flight from its drawn uniforms until its kernel returns
+            block = super().random(shape)
+            with lock:
+                doubles["in_flight"] += block.shape[0] * width
+                doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
+            time.sleep(0.001)  # hold the chunk so that others overlap it
+            return block
 
     def counted(kernel):
-        def wrapped(draws, *args):
+        def wrapped(block, *args):
             try:
-                return kernel(draws, *args)
+                return kernel(block, *args)
             finally:
                 with lock:
-                    doubles["in_flight"] -= draws.rank_keys.shape[0] * width
+                    doubles["in_flight"] -= block.shape[0] * width
         return wrapped
 
-    monkeypatch.setattr(simulator, "_split_block", drawn)
+    monkeypatch.setattr(simulator.np.random, "Generator", DrawingGenerator)
     for name in ("_classical_chunk_successes", "_best_chunk_successes"):
         monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
     interval = sys.getswitchinterval()
@@ -500,23 +494,20 @@ def test_chunk_plan_memory_does_not_grow_with_trials(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 1001])
 def test_ranged_draw_is_bit_identical_to_trial_streams(n):
-    # at p in {0, 1} a block holds only the ranges the kernel reads, so one
-    # draw of whole blocks is the ranged draw; each row must be what
-    # generate_sequence reads from that trial's stream, wherever the chunk
-    # starts and however the n or 3n block pads to the Philox step grid
+    # a block holds only the ranges the kernel reads, so one draw of whole
+    # blocks is the ranged draw; each row must be what generate_sequence and
+    # run_policy_reappearance read from that trial's stream, wherever the
+    # chunk starts and however the n, 3n or 4n block pads to the Philox step grid
     seed = 29
-    for p in (0.0, 1.0):
+    for p, ranges in ((0.0, 1), (1.0, 3), (0.5, 4)):
         width = simulator._block_width(n, p)
+        assert width == -(-ranges * n // 4) * 4
         for first, rows in ((0, 2), (5, 3), (1, 1)):
             block = trial_stream(seed, first, n, p).random((rows, width))
-            draws = simulator._split_block(block, n, p)
-            assert draws.flags is None and draws.coins is None
-            assert (draws.shuffle_keys is None) == (p == 0.0)
             for row in range(rows):
                 gen = trial_stream(seed, first + row, n, p)
-                assert draws.rank_keys[row].tobytes() == gen.random(n).tobytes()
-                if p == 1.0:
-                    assert draws.shuffle_keys[row].tobytes() == gen.random(2 * n).tobytes()
+                read = np.concatenate([gen.random(n) for _ in range(ranges)])  # n at a time
+                assert block[row, :ranges * n].tobytes() == read.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 255, 256, 1001])
@@ -535,7 +526,7 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
     estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     width = simulator._block_width(n, p)
-    assert width == -(-{0.0: 1, 1.0: 3}.get(p, 6) * n // 4) * 4
+    assert width == -(-{0.0: 1, 1.0: 3}.get(p, 4) * n // 4) * 4
     # 5 chunks of 2 rounded up to 6 and balanced, in any order
     assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
 
@@ -644,3 +635,118 @@ def test_guaranteed_return_frequency_near_table_value():
 def test_half_return_frequency_matches_physical_reference():
     r = estimate(n=100, p=0.5, k=57, trials=10**5, seed=44)
     assert abs(r.estimate - PHYSICAL_REF_100_05_57) <= 3 * r.std_error
+
+
+def arrival_pattern_law(n, p):
+    """Exact probability of each (events, ranks) pattern of the physical model.
+
+    events lists (candidate, appearance) in order, candidates numbered in
+    order of first appearance, and ranks[c - 1] is candidate c's rank.  The
+    returning subset is weighted p^s (1-p)^(n-s), every arrangement of the
+    n + s tokens is equally likely, and the ranks are a uniform permutation.
+    """
+    law = {}
+    for returning in product((False, True), repeat=n):
+        tokens = list(range(n)) + [c for c in range(n) if returning[c]]
+        s = len(tokens) - n
+        weight = p**s * (1 - p) ** (n - s) / factorial(len(tokens)) / factorial(n)
+        for order in permutations(tokens):  # each of the len(tokens)! arrangements
+            label, seen, events = {}, {}, []
+            for c in order:
+                label.setdefault(c, len(label) + 1)
+                seen[c] = seen.get(c, 0) + 1
+                events.append((label[c], seen[c]))
+            for ranks in permutations(range(1, n + 1)):
+                key = (tuple(events), ranks)
+                law[key] = law.get(key, 0) + weight
+    return law
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generated_arrival_patterns_follow_the_physical_law(n):
+    # tabulates generate_sequence alone, so it checks the continuous-time
+    # arrival law independently of any policy or kernel
+    p, draws = Fraction(1, 3), 100_000
+    law = arrival_pattern_law(n, p)
+    assert sum(law.values()) == 1
+    g = rng(61 + n)
+    counts = {}
+    for _ in range(draws):
+        seq = generate_sequence(n, float(p), g)
+        ranks = {}
+        for ev in seq.events:
+            ranks.setdefault(ev.candidate, ev.rank)
+        key = (tuple((ev.candidate, ev.appearance) for ev in seq.events),
+               tuple(ranks[c] for c in range(1, n + 1)))
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(law)
+    for key, prob in law.items():
+        prob = float(prob)
+        sigma = np.sqrt(draws * prob * (1 - prob))
+        assert abs(counts.get(key, 0) - draws * prob) <= 4 * sigma, key
+
+
+@pytest.mark.parametrize("n,p", [(2, Fraction(1, 4)), (2, Fraction(3, 4)),
+                                 (3, Fraction(1, 4)), (3, Fraction(3, 4))], ids=str)
+def test_estimate_matches_enumeration_at_n2_n3(n, p):
+    trials = 200_000
+    for k in range(1, n + 1):
+        exact = float(exact_reappearance(n, p, k).probability)
+        r = estimate(n=n, p=float(p), k=k, trials=trials, seed=70 + 10 * n + k)
+        assert abs(r.estimate - exact) <= 4 * np.sqrt(exact * (1 - exact) / trials), k
+
+
+@pytest.mark.parametrize("p,k,table_p", [(5e-324, 37, 0.0), (1 - 2**-53, 48, 1.0)])
+def test_extreme_p_runs_without_warnings_and_matches_the_end_tables(p, k, table_p):
+    # at 5e-324 (1+p)^2/(4p) overflows to inf, and a return key of 0 would
+    # give 0 * inf; at 1 - 2**-53 (1+p)/(2p) rounds to 1
+    n, trials = 100, 10**5
+    exact = float(build_tables(ProblemSpec(n=n, p=table_p)).f[k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = np.array([0.0, 0.25, 0.5, 1 - 2**-53])
+        returns = simulator._returns(u, np.array([0.0, 0.0, 2**-53, 1 - 2**-53]), p)
+        assert not np.isnan(returns).any() and (returns >= u).all()
+        assert per_trial_successes(n, p, k, 200, 67, "best") == \
+            estimate(n=n, p=p, k=k, trials=200, seed=67).successes
+        seq = generate_sequence(n, p, rng(68))
+        assert len(seq.events) == (n if table_p == 0.0 else 2 * n)
+        r = estimate(n=n, p=p, k=k, trials=trials, seed=69)
+    assert np.isfinite([r.estimate, r.std_error]).all()
+    assert abs(r.estimate - exact) <= 4 * np.sqrt(exact * (1 - exact) / trials)
+
+
+@pytest.mark.parametrize("argument,value,error", [
+    ("n", 10.0, InvalidSpec),
+    ("n", True, InvalidSpec),
+    ("k", 3.0, DomainError),
+    ("k", True, DomainError),
+    ("trials", 10.5, DomainError),
+    ("trials", True, DomainError),
+    ("seed", True, DomainError),
+])
+def test_estimate_refuses_bool_and_non_integral_arguments(monkeypatch, argument, value, error):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew uniforms for an invalid argument")
+
+    expected = estimate(n=np.int64(10), p=0.5, k=np.int64(3), trials=np.int64(10), seed=0)
+    assert expected == estimate(n=10, p=0.5, k=3, trials=10, seed=0)
+    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    with pytest.raises(error, match=argument):
+        estimate(**{"n": 10, "p": 0.5, "k": 3, "trials": 10, "seed": 0, argument: value})
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_positive_p_chunks_never_argsort_or_gather(monkeypatch, p):
+    # at p > 0 one value sort of the arrival keys orders each trial's tokens
+    n, k, trials, seed = 30, 12, 500, 71
+    expected = per_trial_successes(n, p, k, trials, seed, "best")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argsorted or gathered at p > 0")
+
+    monkeypatch.setattr(simulator.np, "argsort", refuse)
+    monkeypatch.setattr(simulator.np, "take_along_axis", refuse)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 50 * six_n_block(n))  # several chunks
+    assert estimate(n=n, p=p, k=k, trials=trials, seed=seed).successes == expected
