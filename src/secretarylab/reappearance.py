@@ -24,6 +24,7 @@ guaranteed-return variant.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,19 @@ class ProblemSpec:
     p: float
 
     def __post_init__(self):
+        if not _integer(self.n):
+            raise InvalidSpec(f"need an integer n, got n={self.n!r}")
+        if not isinstance(self.p, numbers.Real) or isinstance(self.p, bool):
+            raise InvalidSpec(f"need a real number p, got p={self.p!r}")
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got n={self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidSpec(f"need 0 <= p <= 1, got p={self.p}")
+
+
+def _integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ from .errors import (
     InvalidSpec,
     MixedSequence,
 )
-from .reappearance import ProblemSpec
+from .reappearance import ProblemSpec, _integer
 
 __all__ = [
     "STREAM_LAYOUT",
@@ -110,21 +110,21 @@ __all__ = [
 ]
 
 STREAM_LAYOUT = 4  # see the module docstring
-# Uniforms of all chunks in flight (16 MiB at 6 per candidate): each of the t
-# threads runs chunks of at most 1/t of it.  Chunks are sized by the 6n block
-# of layout 1, padded like a trial's block, at every p, although a trial now
-# draws at most 4n uniforms: the plan, the rows per chunk and the threads are
-# those of layouts 1-3 for every (trials, n).  The budget covers the blocks
-# only; the kernel's arrays add at most as much again.  All chunks in flight
-# peak together at 22 MiB at n = 100, p = 0.5, at 19 MiB at n = 1000, p = 1
-# and at 5 MiB for top-3 at n = 1000 and 10000, on one thread and on two
-# alike (tracemalloc).  Past n = 2**21 // 6 a 6n block fills the budget, so a
-# chunk holds one trial and runs alone; it peaks at 67 bytes per candidate
-# (58 at p = 1, 16 at p = 0; n = 1e6), and an n at which that passes 2 GiB is
-# refused before anything is drawn.  A budget of 1 << 23 shared by two
-# threads peaked at 117-153 MiB of RSS in the mc-small-n benchmark (2-vCPU
-# VM), against 65 MiB with this one.
-_CHUNK_DOUBLES = 1 << 21
+# Uniforms of all chunks of a call in flight (2.7 MiB): each of the t threads
+# runs chunks of at most 1/t of it, counting the _block_width(n, p) uniforms
+# each trial draws.  The budget covers the blocks only; the kernel's arrays
+# add at most as much again.  All chunks in flight peak together at 5.0-6.3
+# MiB at n = 4 and 100, p = 0.5, at n = 1000, p = 1 and for top-3 at n = 1000
+# and 10000, on one thread and on two alike (tracemalloc).  At 2**21 / 6, two
+# threads run top-3 chunks of 174 trials at n = 1000 and 17 at n = 10000, the
+# sizes those runs were tuned at.  The threads are set by n alone (see
+# _schedule), so a trial wider than its thread's share runs in a chunk of its
+# own, and lone trials on t threads may hold up to 4 (3 at p = 1) times the
+# budget; past n = 174762, half the budget, a trial runs alone on one thread.
+_CHUNK_DOUBLES = (1 << 21) // 6
+# Peak bytes per candidate of a lone trial (tracemalloc, n = 1e6: 66 at
+# 0 < p < 1, 58 at p = 1, 16 at p = 0); an n at which a trial passes 2 GiB is
+# refused before anything is drawn.
 _TRIAL_BYTES_PER_CANDIDATE = 67
 # One worker per CPU this process may run on.  numpy releases the GIL in the
 # Philox fill, the sorts, take, partition and ufunc loops, so chunks on
@@ -228,7 +228,7 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
     c-th and only once.  Candidate c is the c-th to arrive, and at equal
     times arrivals come before returns.
     """
-    ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
+    ProblemSpec(n, p)  # raises InvalidSpec unless n is an integer >= 1 and p a real in [0, 1]
     order = np.argsort(rng.random(n))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
@@ -267,10 +267,11 @@ def run_policy_reappearance(
     Observation phase: process events until k distinct candidates have been
     seen, rejecting everything while tracking the leader.  Selection phase:
     accept the leader's return; accept a fresh leader with probability 1-p
-    (on rejection it becomes the new leader); accept a better candidate's
-    second arrival.  At 0 < p < 1 consumes n coins from ``rng`` up front,
-    the coin of candidate c being coins[c - 1]; at p in {0, 1} the coin
-    decides nothing and none is drawn.
+    (on rejection it becomes the new leader).  A candidate's rank is seen at
+    its first appearance, so the leader is the best candidate seen and no
+    other candidate's return can beat it.  At 0 < p < 1 consumes n coins
+    from ``rng`` up front, the coin of candidate c being coins[c - 1]; at p
+    in {0, 1} the coin decides nothing and none is drawn.
     """
     n = seq.n
     if not 1 <= k <= n:
@@ -292,10 +293,6 @@ def run_policy_reappearance(
         if second and ev.candidate == lead_cand:
             return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
         if ev.rank < lead_rank:
-            if second:
-                # better candidate returning; cannot occur while the leader
-                # tracks the best of all appearances, kept for completeness
-                return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
             if coins[ev.candidate - 1] < 1.0 - p:
                 return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
             lead_cand, lead_rank = ev.candidate, ev.rank
@@ -334,13 +331,12 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Raises InvalidSpec for an n that is not an integer, and DomainError for
-    a k or trials that is not, a seed outside the Philox keys 0..2**128-1
-    and an n at which one trial would hold over 2 GiB (bools are refused).
+    Raises InvalidSpec for an n that is not an integer or a p that is not
+    a real number, and DomainError for a k or trials that is not an
+    integer, a seed outside the Philox keys 0..2**128-1 and an n at which
+    one trial would hold over 2 GiB (bools are refused).
     """
-    if not _integer(n):
-        raise InvalidSpec(f"need an integer n, got {n!r}")
-    ProblemSpec(n, p)  # raises InvalidSpec for n < 1 or p outside [0, 1]
+    ProblemSpec(n, p)  # raises InvalidSpec unless n is an integer >= 1 and p a real in [0, 1]
     if not _integer(trials) or trials < 1:
         raise DomainError(f"need an integer trials >= 1, got {trials!r}")
     if not _integer(seed) or not 0 <= seed < 2**128:
@@ -369,7 +365,7 @@ def estimate(
             return _classical_chunk_successes(block, n, k, 3 if objective == "top3" else 1)
         return _best_chunk_successes(block, n, p, k)
 
-    successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n))
+    successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n, width))
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
     return SimulationReport(
@@ -377,23 +373,20 @@ def estimate(
     )
 
 
-def _integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _schedule(trials: int, n: int) -> tuple[int, int]:
+def _schedule(trials: int, n: int, width: int) -> tuple[int, int]:
     """Threads to run on, and the number of chunks the trials are split into.
 
-    ``_CHUNK_DOUBLES`` bounds all chunks in flight, counting 6n padded
-    uniforms a trial at every p: each of ``threads`` workers holds at most
-    its share, and a trial wider than that share runs alone.  Several chunks come in a
-    multiple of ``threads`` with balanced rows, so no worker is left with a
-    short tail; a single chunk, or a single thread, runs in the caller's
-    thread.
+    A trial draws a block of ``width`` uniforms.  Each of ``threads``
+    workers runs chunks of at most its share of ``_CHUNK_DOUBLES`` uniforms,
+    and a trial wider than that share runs in a chunk of its own.  Several
+    chunks come in a multiple of ``threads`` with balanced rows, so no
+    worker is left with a short tail; a single chunk, or a single thread,
+    runs in the caller's thread.
     """
-    width = -(-6 * n // 4) * 4
-    threads = max(1, min(_WORKERS, _CHUNK_DOUBLES // width))
+    # threads are set by n alone: capped by the block as well, 0 < p < 1
+    # runs at 43690 < n <= 174762 would take one thread, and n = 1e5,
+    # p = 0.5, 40 trials took 0.50 s on one against 0.19 s on two (2-vCPU VM)
+    threads = max(1, min(_WORKERS, _CHUNK_DOUBLES // n))
     per_chunk = max(1, _CHUNK_DOUBLES // (threads * width))
     chunks = -(-trials // per_chunk)
     if chunks == 1:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,11 @@ def test_spec_validation():
         ProblemSpec(n=5, p=-0.1)
     with pytest.raises(InvalidSpec):
         ProblemSpec(n=5, p=1.5)
+    for n, p in ((2.5, 0.5), (10.0, 0.5), (True, 0.5), (5, True), (5, "0.5"), (5, None)):
+        with pytest.raises(InvalidSpec, match="n=" if p == 0.5 else "p="):
+            ProblemSpec(n=n, p=p)
     ProblemSpec(n=1, p=0.0)  # n=1 is a valid spec, just not buildable
+    ProblemSpec(n=np.int64(5), p=Fraction(1, 2))
 
 
 def test_build_rejects_n1():

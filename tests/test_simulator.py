@@ -45,11 +45,6 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def six_n_block(n):
-    """The 6n width, padded like a block, by which estimate() sizes its chunks at every p."""
-    return -(-6 * n // 4) * 4
-
-
 def per_trial_successes(n, p, k, trials, seed, objective):
     """Successes of ``trials`` trials run one at a time, each on its own trial_stream."""
     successes = 0
@@ -103,6 +98,12 @@ def test_sequence_validation():
         ArrivalSequence(
             events=(ArrivalEvent(1, 1, 1), ArrivalEvent(2, 1, 1)), n=2
         )  # ranks not a permutation
+    with pytest.raises(InvalidSpec, match="changed rank"):
+        ArrivalSequence(
+            events=(ArrivalEvent(1, 1, 1), ArrivalEvent(2, 2, 1), ArrivalEvent(1, 2, 2)), n=2
+        )
+    with pytest.raises(InvalidSpec, match="more than twice"):
+        ArrivalSequence(events=tuple(ArrivalEvent(1, 1, a) for a in (1, 2, 3)), n=1)
     ArrivalSequence.from_ranks((2, 1, 3))
 
 
@@ -135,6 +136,10 @@ def test_policy_reappearance_range_checks():
         run_policy_reappearance(seq, 0, 0.5, rng(6))
     with pytest.raises(IndexOutOfRange):
         run_policy_reappearance(seq, 6, 0.5, rng(6))
+    single = generate_sequence(5, 0.0, rng(5))
+    for k in (-1, 5):  # the top-3 rule takes k in 0..n-1
+        with pytest.raises(IndexOutOfRange):
+            run_policy_top3(single, k)
 
 
 def test_policy_reappearance_p0_equals_classical_rule():
@@ -205,7 +210,7 @@ def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective)
     assert report.successes == successes
     # six blocks on two threads: chunks of three trials, or two at the tail
     monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 6 * six_n_block(n))
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 6 * simulator._block_width(n, p))
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
 
@@ -292,7 +297,7 @@ def test_pinned_counts_independent_of_worker_count(
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
-    budget = min(simulator._CHUNK_DOUBLES, trials * six_n_block(n) // 4)
+    budget = min(simulator._CHUNK_DOUBLES, trials * simulator._block_width(n, p) // 4)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulator, "_WORKERS", workers)
@@ -310,9 +315,11 @@ def refuse_pool(monkeypatch):
 
 
 def test_single_chunk_starts_no_pool(monkeypatch):
-    n, width = 30, six_n_block(30)
+    n, width = 30, simulator._block_width(30, 0.4)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
+    # a thread's share of the budget holds every trial, so one chunk runs
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 2000 * width)
     refuse_pool(monkeypatch)
     assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
     # the refusal is reached as soon as two chunks run on two threads
@@ -322,12 +329,12 @@ def test_single_chunk_starts_no_pool(monkeypatch):
 
 
 def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
+    # a trial wider than its thread's share runs in a chunk of its own; the
+    # threads are set by n, so such chunks share them until 2n passes the budget
     n, trials, seed = 30, 7, 13
-    width = six_n_block(n)
+    width = simulator._block_width(n, 0.4)
     expected = estimate(n=n, p=0.4, k=12, trials=trials, seed=seed)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * width - 4)  # one block fits, two do not
-    refuse_pool(monkeypatch)
     kernel = simulator._best_chunk_successes
     chunks = []
 
@@ -336,6 +343,13 @@ def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
         return kernel(block, n, p, k)
 
     monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * width - 4)  # one block fits, two do not
+    assert estimate(n=n, p=0.4, k=12, trials=trials, seed=seed) == expected
+    assert [rows for rows, _ in chunks] == [1] * trials
+    assert threading.get_ident() not in {thread for _, thread in chunks}  # on the pool
+    chunks.clear()
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * n - 1)  # n rank keys fit, 2n do not
+    refuse_pool(monkeypatch)
     assert estimate(n=n, p=0.4, k=12, trials=trials, seed=seed) == expected
     assert chunks == [(1, threading.get_ident())] * trials
 
@@ -343,7 +357,7 @@ def test_trial_wider_than_half_the_budget_runs_alone(monkeypatch):
 def test_threaded_calls_share_the_pool_workers(monkeypatch):
     # a pool per call let a new worker open a fresh malloc arena before the
     # last call's worker had exited, so peak RSS differed from run to run
-    n, width = 30, six_n_block(30)
+    n, width = 30, simulator._block_width(30, 0.4)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)  # 100 trials per chunk
@@ -361,9 +375,55 @@ def test_threaded_calls_share_the_pool_workers(monkeypatch):
     assert threading.current_thread() not in workers
 
 
+def test_chunk_error_stops_every_lane_and_keeps_the_pool(monkeypatch):
+    # the third kernel call raises once the other lane has begun its next
+    # chunk, which is held until the raising lane has ended; then no lane
+    # may start another of the 20 chunks
+    n, width = 30, simulator._block_width(30, 0.4)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)  # 100 trials per chunk
+    expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)  # starts the pool
+    pool = simulator._pool
+    kernel, thread_pool = simulator._best_chunk_successes, simulator._thread_pool
+    lock, calls, lanes = threading.Lock(), [], []
+    other_started = threading.Event()
+
+    class Failure(Exception):
+        pass
+
+    class RecordingPool:
+        def submit(self, *args):
+            lanes.append(thread_pool().submit(*args))
+            return lanes[-1]
+
+    def failing(block, n, p, k):
+        with lock:
+            calls.append(threading.get_ident())
+            call = len(calls)
+        if call == 3:
+            assert other_started.wait(10)
+            raise Failure("third chunk")
+        if call > 3:
+            other_started.set()
+            done, _ = concurrent.futures.wait(
+                lanes, timeout=10, return_when=concurrent.futures.FIRST_COMPLETED)
+            assert done
+        return kernel(block, n, p, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_thread_pool", RecordingPool)
+        patch.setattr(simulator, "_best_chunk_successes", failing)
+        with pytest.raises(Failure, match="third chunk"):
+            estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
+    assert len(calls) == 4 and calls[3] != calls[2]
+    assert all(f.done() for f in lanes)
+    assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+    assert simulator._pool is pool
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_pool(monkeypatch):
-    n, width = 30, six_n_block(30)
+    n, width = 30, simulator._block_width(30, 0.4)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)  # starts the pool
@@ -383,7 +443,7 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
 ])
 def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective):
     trials, seed, k = 200, 19, 2
-    width = six_n_block(n)  # the budget counts 6n padded uniforms a trial at every p
+    width = simulator._block_width(n, p)  # the budget counts the block each trial draws
     expected = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     budget = 10 * width
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", budget)
@@ -433,23 +493,23 @@ def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective):
 def test_report_independent_of_chunking(monkeypatch, p, k, objective):
     n, trials, seed = 30, 301, 5
     reports = [estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)]
-    width = six_n_block(n)
-    for per_chunk in (1, 3):
-        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", per_chunk * width)
+    width = simulator._block_width(n, p)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    for per_chunk in (1, 3):  # trials a chunk, on two threads
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * per_chunk * width)
         reports.append(estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective))
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
 
 
-def list_plan(trials, n):
+def list_plan(trials, n, width):
     """Threads and each lane's (first, rows) chunks, planned as per-chunk lists.
 
-    The plan's reference form: every chunk's rows listed in trial order, the
-    first trials % chunks of them one row longer, and lane j taking chunks
-    j, j + threads, ...
+    The plan's reference form: threads set by n, chunks by the block width,
+    every chunk's rows listed in trial order, the first trials % chunks of
+    them one row longer, and lane j taking chunks j, j + threads, ...
     """
-    width = six_n_block(n)
-    threads = max(1, min(simulator._WORKERS, simulator._CHUNK_DOUBLES // width))
+    threads = max(1, min(simulator._WORKERS, simulator._CHUNK_DOUBLES // n))
     per_chunk = max(1, simulator._CHUNK_DOUBLES // (threads * width))
     chunks = -(-trials // per_chunk)
     if chunks == 1:
@@ -461,17 +521,27 @@ def list_plan(trials, n):
     return threads, [list(zip(firsts[j::threads], rows[j::threads])) for j in range(threads)]
 
 
-def planned(trials, n):
-    threads, chunks = simulator._schedule(trials, n)
+def planned(trials, n, width):
+    threads, chunks = simulator._schedule(trials, n, width)
     return threads, [list(simulator._chunks(trials, chunks, j, threads)) for j in range(threads)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_chunk_plan_matches_per_chunk_lists(monkeypatch, workers):
     monkeypatch.setattr(simulator, "_WORKERS", workers)
-    for n in (1, 4, 30, 1000, 10**4, 10**6):
+    for n, p in product((1, 4, 30, 1000, 10**4, 10**6), (0.0, 0.5, 1.0)):
+        width = simulator._block_width(n, p)
         for trials in (1, 2, 3, 7, 100, 301, 4097, 65537, 10**5 + 3):
-            assert planned(trials, n) == list_plan(trials, n), (trials, n)
+            assert planned(trials, n, width) == list_plan(trials, n, width), (trials, n, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_threads_are_set_by_n_alone(monkeypatch, p):
+    # capped by the block as well, 0 < p < 1 runs at 43690 < n <= 174762
+    # would take one thread, with one trial a chunk
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    for n, threads in ((10**5, 2), (174_762, 2), (174_763, 1)):
+        assert simulator._schedule(40, n, simulator._block_width(n, p))[0] == threads, n
 
 
 def test_chunk_plan_memory_does_not_grow_with_trials(monkeypatch):
@@ -480,7 +550,7 @@ def test_chunk_plan_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     tracemalloc.start()
     try:
-        threads, chunks = simulator._schedule(trials, 4)
+        threads, chunks = simulator._schedule(trials, 4, simulator._block_width(4, 0.5))
         heads = [next(simulator._chunks(trials, chunks, j, threads)) for j in range(threads)]
         last = next(simulator._chunks(trials, chunks, chunks - 1, 1))
         peak = tracemalloc.get_traced_memory()[1]
@@ -521,12 +591,12 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
             calls.append(args)
             return super().random(*args, **kwargs)
 
-    monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
-    estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     width = simulator._block_width(n, p)
     assert width == -(-{0.0: 1, 1.0: 3}.get(p, 4) * n // 4) * 4
+    monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 trials per thread
+    estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     # 5 chunks of 2 rounded up to 6 and balanced, in any order
     assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
 
@@ -551,10 +621,11 @@ def test_p0_chunks_draw_rank_keys_alone_and_never_sort(monkeypatch, n, objective
     monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
     monkeypatch.setattr(simulator.np, "argsort", refuse)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * six_n_block(n))  # 2 trials per thread
+    width = simulator._block_width(n, 0.0)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 trials per thread
     report = estimate(n=n, p=0.0, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == expected
-    assert shapes == [(2, -(-n // 4) * 4)] * 6
+    assert shapes == [(2, width)] * 6 and width == -(-n // 4) * 4
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
@@ -719,6 +790,8 @@ def test_extreme_p_runs_without_warnings_and_matches_the_end_tables(p, k, table_
 @pytest.mark.parametrize("argument,value,error", [
     ("n", 10.0, InvalidSpec),
     ("n", True, InvalidSpec),
+    ("p", True, InvalidSpec),
+    ("p", "0.5", InvalidSpec),
     ("k", 3.0, DomainError),
     ("k", True, DomainError),
     ("trials", 10.5, DomainError),
@@ -748,5 +821,5 @@ def test_positive_p_chunks_never_argsort_or_gather(monkeypatch, p):
     monkeypatch.setattr(simulator.np, "argsort", refuse)
     monkeypatch.setattr(simulator.np, "take_along_axis", refuse)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
-    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 50 * six_n_block(n))  # several chunks
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 50 * simulator._block_width(n, p))  # 20 chunks
     assert estimate(n=n, p=p, k=k, trials=trials, seed=seed).successes == expected
