@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, InvalidSpec, NonFinite
+from .errors import BracketError, DomainError, InvalidSpec, NonFinite, real
+from .reappearance import check_p
 
 __all__ = [
     "LimitCurve",
@@ -151,12 +152,10 @@ def integrate_limit_system(
     value; seeding the raw anchors there would shift the whole curve by
     O(eps).
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
-    if not 0.0 < epsilon < 0.1:
+    p = float(check_p(p))
+    if not 0.0 < real("epsilon", epsilon) < 0.1:
         raise DomainError(f"need 0 < epsilon < 0.1, got epsilon={epsilon}")
-    if not _MIN_STEP <= step <= epsilon:
-        raise DomainError(f"need {_MIN_STEP:g} <= step <= epsilon, got step={step}")
+    real("step", step, _MIN_STEP, epsilon)
 
     m = max(1, int(round((1.0 - 2.0 * epsilon) / step)))
     grid = np.linspace(epsilon, 1.0 - epsilon, m + 1)
@@ -219,8 +218,7 @@ def top3_limit(x: float) -> float:
     Defined on [0, 1]; the x -> 0 limit is 0 (x ln x vanishes) and is
     returned at x = 0 by continuous extension.
     """
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"x={x} outside [0, 1]")
+    real("x", x, 0.0, 1.0)
     if x == 0.0:
         return 0.0
     return -3.0 * x * math.log(x) + 3.0 * x * x - x ** 3 / 2.0 - 5.0 * x / 2.0
@@ -228,7 +226,7 @@ def top3_limit(x: float) -> float:
 
 def top3_limit_derivative(x: float) -> float:
     """Derivative of the top-3 limit curve, simplified closed form."""
-    if x <= 0.0 or x >= 1.0:
+    if not 0.0 < real("x", x) < 1.0:
         raise DomainError(f"x={x} outside (0, 1)")
     return -3.0 * math.log(x) + 6.0 * x - 1.5 * x * x - 5.5
 
@@ -244,7 +242,7 @@ def optimal_x_top3(tolerance: float) -> RootResult:
     the left end, negative at the right; checked defensively) until the
     residual |P'(x)| drops to ``tolerance``.
     """
-    if tolerance <= 0.0:
+    if not real("tolerance", tolerance) > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     a, b = _BRACKET
     fa = top3_limit_derivative(a)

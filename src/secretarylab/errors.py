@@ -1,4 +1,9 @@
-"""Exception types shared across the package, the exact solvers' n limits and block size."""
+"""Exception types, the checks every numeric input passes, the exact solvers' n limits and block size."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class SecretaryLabError(Exception):
@@ -39,6 +44,30 @@ class InvalidCombination(SecretaryLabError, ValueError):
 
 class TooLarge(SecretaryLabError, ValueError):
     """Instance exceeds the exact enumeration limits."""
+
+
+def integer(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainError,
+            not_integer: type | None = None) -> int:
+    """``value`` as a Python int in lo..hi, so no numpy integer reaches later arithmetic.
+
+    A bool or a non-integral value (10.0, "10", NaN) raises ``not_integer`` (default ``error``).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise (not_integer or error)(f"{name}={value!r} is not an integer")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise error(f"{name}={value} outside {lo}..{hi}" if hi < math.inf
+                    else f"need {name} >= {lo}, got {value}")
+    return value
+
+
+def real(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainError):
+    """``value`` unchanged if it is a real number in [lo, hi]; a bool, a string or NaN raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name}={value!r} is not a real number")
+    if not lo <= value <= hi:
+        raise error(f"{name}={value} outside [{lo}, {hi}]")
+    return value
 
 
 # Largest n the exact solvers accept, tables and optimal policies alike.

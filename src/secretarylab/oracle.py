@@ -22,8 +22,9 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import comb, factorial
 
-from .errors import IndexOutOfRange, InvalidSpec, TooLarge
-from .top3 import _check_n as _check_top3_n
+from . import top3
+from .errors import TooLarge
+from .reappearance import ProblemSpec, _check_buildable, check_k
 
 __all__ = ["ExactResult", "exact_top3", "exact_reappearance"]
 
@@ -37,15 +38,16 @@ class ExactResult:
     instance: tuple
 
 
-@lru_cache(maxsize=None)
 def exact_top3(n: int, k: int) -> ExactResult:
     """Top-3 success probability of threshold k, by full permutation sweep."""
+    n = top3._check_n(n)  # checked outside the cache, where True and 1.0 would find 1's entry
     if n > _MAX_TOP3_N:
         raise TooLarge(f"exact top-3 enumeration is limited to n <= {_MAX_TOP3_N}")
-    _check_top3_n(n)
-    if not 0 <= k <= n - 1:
-        raise IndexOutOfRange(f"k={k} outside 0..{n - 1}")
+    return _exact_top3(n, top3.check_k(k, n))
 
+
+@lru_cache(maxsize=None)
+def _exact_top3(n: int, k: int) -> ExactResult:
     hits = 0
     for perm in permutations(range(1, n + 1)):
         best = n + 1
@@ -66,15 +68,10 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
     binary value.  Limited to n <= 4 (the token-arrangement count explodes).
     One enumeration per n serves every p and k.
     """
+    n = _check_buildable(ProblemSpec(n, p))[0]
     if n > _MAX_REAPPEAR_N:
         raise TooLarge(f"exact re-arrival enumeration is limited to n <= {_MAX_REAPPEAR_N}")
-    if n < 2:
-        raise InvalidSpec(f"need n >= 2, got n={n}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidSpec(f"need 0 <= p <= 1, got p={p}")
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"k={k} outside 1..{n}")
+    k, p = check_k(k, n), Fraction(p)
     probability = Fraction(0)
     for c in reversed(_reappearance_polynomials(n)[k - 1]):
         probability = probability * p + c

@@ -4,8 +4,8 @@ Each of n distinct candidates is interviewed at least once; after the first
 interview a candidate returns for exactly one more interview with
 probability p.  The threshold strategy observes the first k distinct
 candidates without hiring, then accepts the first arrival that is either
-the current leader returning, a fresh leader (accepted with probability
-1-p), or a returning leader.
+the current leader returning or a fresh leader (accepted with probability
+1-p; on rejection it becomes the leader).
 
 For a given (n, p) this module computes four tables over the threshold k
 in linear time, block by block (``_table_blocks``):
@@ -24,7 +24,6 @@ guaranteed-return variant.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,25 +43,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """An instance of the re-arrival model: n candidates, return probability p."""
+    """An instance of the re-arrival model: an integer n >= 1, kept as an int, and p in [0, 1]."""
 
     n: int
     p: float
 
     def __post_init__(self):
-        if not _integer(self.n):
-            raise InvalidSpec(f"need an integer n, got n={self.n!r}")
-        if not isinstance(self.p, numbers.Real) or isinstance(self.p, bool):
-            raise InvalidSpec(f"need a real number p, got p={self.p!r}")
-        if self.n < 1:
-            raise InvalidSpec(f"need n >= 1, got n={self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidSpec(f"need 0 <= p <= 1, got p={self.p}")
+        object.__setattr__(self, "n", errors.integer("n", self.n, 1, error=InvalidSpec))
+        check_p(self.p)
 
 
-def _integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_p(p):
+    """``p`` unchanged if it is a real number in [0, 1]; anything else, NaN too, raises InvalidSpec."""
+    return errors.real("p", p, 0.0, 1.0, InvalidSpec)
+
+
+def check_k(k, n: int) -> int:
+    """The threshold k as an int: DomainError unless an integer, IndexOutOfRange outside 1..n."""
+    return errors.integer("threshold k", k, 1, n, IndexOutOfRange, DomainError)
 
 
 @dataclass(frozen=True)
@@ -248,14 +246,9 @@ def build_tables(spec: ProblemSpec) -> DpTables:
     closed form is the more accurate of the two: 1.6e-12 from an
     extended-precision sum, against 6.8e-12 for the sequential loop.
 
-    Holds the four 8-byte-per-entry tables and block-sized scratch.
-
-    Raises
-    ------
-    InvalidSpec
-        If n < 2 (both recurrence directions must be nonempty).
-    DomainError
-        Before allocating, for n past ``errors.MAX_N_REAPPEARANCE``.
+    Holds the four 8-byte-per-entry tables and block-sized scratch.  Raises
+    InvalidSpec for n < 2 (both recurrence directions must be nonempty) and
+    DomainError, before allocating, for n past ``errors.MAX_N_REAPPEARANCE``.
     """
     n, p = _check_buildable(spec)
     f, phi, psi, ups = copy_blocks(_table_blocks(n, p), n + 1, 4)
@@ -271,9 +264,7 @@ def build_tables(spec: ProblemSpec) -> DpTables:
 
 def success_probability(tables: DpTables, k: int) -> float:
     """Success probability of threshold ``k``: a pure lookup of f[k]."""
-    if not 1 <= k <= tables.n:
-        raise IndexOutOfRange(f"threshold k={k} outside 1..{tables.n}")
-    return float(tables.f[k])
+    return float(tables.f[check_k(k, tables.n)])
 
 
 def optimal_policy(spec: ProblemSpec) -> OptimalPolicy:

@@ -87,14 +87,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IndexOutOfRange,
-    InvalidCombination,
-    InvalidSpec,
-    MixedSequence,
-)
-from .reappearance import ProblemSpec, _integer
+from . import errors, top3
+from .errors import DomainError, InvalidCombination, InvalidSpec, MixedSequence
+from .reappearance import ProblemSpec, check_k, check_p
 
 __all__ = [
     "STREAM_LAYOUT",
@@ -110,6 +105,7 @@ __all__ = [
 ]
 
 STREAM_LAYOUT = 4  # see the module docstring
+_PHILOX_KEYS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
 # Uniforms of all chunks of a call in flight (2.7 MiB): each of the t threads
 # runs chunks of at most 1/t of it, counting the _block_width(n, p) uniforms
 # each trial draws.  The budget covers the blocks only; the kernel's arrays
@@ -215,8 +211,9 @@ class SimulationReport:
 
 
 def trial_stream(seed: int, index: int, n: int, p: float) -> np.random.Generator:
-    """The per-trial generator: Philox(seed) positioned at trial ``index``'s block."""
-    counter = index * _block_width(n, p) // 4
+    """The per-trial generator: Philox(seed) at the block of trial ``index``, an integer >= 0."""
+    seed = errors.integer("seed", seed, *_PHILOX_KEYS)
+    counter = errors.integer("index", index, 0) * _block_width(ProblemSpec(n, p).n, p) // 4
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
@@ -228,7 +225,7 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
     c-th and only once.  Candidate c is the c-th to arrive, and at equal
     times arrivals come before returns.
     """
-    ProblemSpec(n, p)  # raises InvalidSpec unless n is an integer >= 1 and p a real in [0, 1]
+    n = ProblemSpec(n, p).n
     order = np.argsort(rng.random(n))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
@@ -274,8 +271,7 @@ def run_policy_reappearance(
     in {0, 1} the coin decides nothing and none is drawn.
     """
     n = seq.n
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
+    k, p = check_k(k, n), check_p(p)
     # every coin p accepts a fresh leader at p = 0 and never at p = 1
     coins = rng.random(n) if 0.0 < p < 1.0 else np.full(n, p)
 
@@ -308,8 +304,7 @@ def run_policy_top3(seq: ArrivalSequence, k: int) -> TrialOutcome:
     n = seq.n
     if any(ev.appearance == 2 for ev in seq.events):
         raise MixedSequence("top-3 policy needs a single-appearance sequence (p=0)")
-    if not 0 <= k <= n - 1:
-        raise IndexOutOfRange(f"threshold k={k} outside 0..{n - 1}")
+    k = top3.check_k(k, n)
     best = n + 1
     for t, ev in enumerate(seq.events):
         if t >= k and ev.rank < best:
@@ -331,28 +326,17 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Raises InvalidSpec for an n that is not an integer or a p that is not
-    a real number, and DomainError for a k or trials that is not an
-    integer, a seed outside the Philox keys 0..2**128-1 and an n at which
-    one trial would hold over 2 GiB (bools are refused).
+    Checks every argument as the README's table of errors states, and that
+    one trial holds at most 2 GiB (DomainError), before drawing anything.
     """
-    ProblemSpec(n, p)  # raises InvalidSpec unless n is an integer >= 1 and p a real in [0, 1]
-    if not _integer(trials) or trials < 1:
-        raise DomainError(f"need an integer trials >= 1, got {trials!r}")
-    if not _integer(seed) or not 0 <= seed < 2**128:
-        raise DomainError(f"need an integer seed in 0..2**128-1, got {seed!r}")
-    if not _integer(k):
-        raise DomainError(f"need an integer threshold k, got {k!r}")
+    n = ProblemSpec(n, p).n
+    trials = errors.integer("trials", trials, 1)
+    seed = errors.integer("seed", seed, *_PHILOX_KEYS)
     if objective not in ("best", "top3"):
         raise InvalidCombination(f"unknown objective {objective!r}")
-    if objective == "top3":
-        if p != 0.0:
-            raise InvalidCombination("top-3 objective requires p = 0")
-        if not 0 <= k <= n - 1:
-            raise IndexOutOfRange(f"threshold k={k} outside 0..{n - 1}")
-    else:
-        if not 1 <= k <= n:
-            raise IndexOutOfRange(f"threshold k={k} outside 1..{n}")
+    if objective == "top3" and p != 0.0:
+        raise InvalidCombination("top-3 objective requires p = 0")
+    k = (top3.check_k if objective == "top3" else check_k)(k, n)
     if n * _TRIAL_BYTES_PER_CANDIDATE > 2 << 30:
         raise DomainError(f"one simulated trial at n={n} needs about "
                           f"{n * _TRIAL_BYTES_PER_CANDIDATE / 2**30:.3g} GiB, over the 2 GiB limit")
@@ -408,9 +392,9 @@ def _run_chunks(run, trials: int, threads: int, chunks: int) -> int:
     """Sum of ``run(first, rows)`` over the chunks, on ``threads`` pool workers.
 
     Worker j runs chunks j, j + threads, ... one after another, so at most
-    ``threads`` chunks are in flight; one thread is the caller's own.  After
-    an error or interrupt no further chunk starts, and the call returns once
-    the running ones end.
+    ``threads`` chunks are in flight; a lone lane runs in the caller's thread,
+    several on pool workers while the caller waits.  After an error or interrupt
+    no further chunk starts, and the call returns once the running ones end.
     """
     stop = threading.Event()
 

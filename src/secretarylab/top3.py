@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import DegenerateInstance, DomainError, IndexOutOfRange, NonFinite
+from .errors import DegenerateInstance, DomainError, IndexOutOfRange, InvalidSpec, NonFinite
 from .reappearance import OptimalPolicy, copy_blocks
 
 __all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
@@ -48,9 +48,19 @@ class Top3Table:
     prob: np.ndarray
 
 
-def _check_n(n: int):
+def _check_n(n) -> int:
+    """The top-3 n as an int: InvalidSpec, DegenerateInstance below 4, DomainError past the limit."""
+    n = errors.integer("n", n, error=InvalidSpec)
     if n < 4:
         raise DegenerateInstance(f"top-3 objective is degenerate for n < 4, got n={n}")
+    if n > errors.MAX_N_TOP3:
+        raise DomainError(f"top-3 solver accepts n <= {errors.MAX_N_TOP3}, got n={n}")
+    return n
+
+
+def check_k(k, n: int) -> int:
+    """The threshold k as an int: DomainError unless an integer, IndexOutOfRange outside 0..n-1."""
+    return errors.integer("threshold k", k, 0, n - 1, IndexOutOfRange, DomainError)
 
 
 def binom_survival_ratio(n: int, k: int) -> float:
@@ -61,17 +71,10 @@ def binom_survival_ratio(n: int, k: int) -> float:
     most 1, so the computation cannot overflow for n up to 1e7.  The result
     is exactly 0 whenever k+1 > n-3.
     """
-    _check_n(n)
-    if not 0 <= k <= n - 1:
-        raise IndexOutOfRange(f"k={k} outside 0..{n - 1}")
+    n = _check_n(n)
+    k = check_k(k, n)
     r = ((n - k - 1) / n) * ((n - k - 2) / (n - 1)) * ((n - k - 3) / (n - 2))
     return r + 0.0  # normalise -0.0 from the zero factor at the tail
-
-
-def _check_buildable(n: int):
-    _check_n(n)
-    if n > errors.MAX_N_TOP3:
-        raise DomainError(f"top-3 solver accepts n <= {errors.MAX_N_TOP3}, got n={n}")
 
 
 def _prob_blocks(n: int):
@@ -110,11 +113,9 @@ def top3_table(n: int) -> Top3Table:
 
     Copies the blocks of ``_prob_blocks``; holds the 8-byte-per-entry table
     and block-sized scratch.  Agrees with the sequential recurrence to
-    ~1e-14 for n <= 1e5.
-
-    Raises DomainError, before allocating, for n past ``errors.MAX_N_TOP3``.
+    ~1e-14 for n <= 1e5.  Refuses, before allocating, the n ``_check_n`` refuses.
     """
-    _check_buildable(n)
+    n = _check_n(n)
     (prob,) = copy_blocks(_prob_blocks(n), n + 1)
     prob[n] = 0.0
     prob[0] = 3.0 / n
@@ -128,6 +129,6 @@ def optimal_policy_top3(n: int) -> OptimalPolicy:
     Reduces the table's blocks as they are made, so it holds no n-sized
     array, and refuses the same n as ``top3_table``.
     """
-    _check_buildable(n)
+    n = _check_n(n)
     pol = OptimalPolicy.first_max(_prob_blocks(n))
     return pol if pol.value > 3.0 / n else OptimalPolicy(k_n=0, value=3.0 / n)

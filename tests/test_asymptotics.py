@@ -12,7 +12,7 @@ from secretarylab import (
 )
 from secretarylab.asymptotics import _phi_terms, _psi_terms, _upsilon_terms
 from secretarylab.cli import TABLE1_ROWS
-from secretarylab.errors import DomainError
+from secretarylab.errors import DomainError, InvalidSpec
 
 
 def stagewise_rk4(p, step, epsilon):
@@ -120,6 +120,9 @@ def test_parameter_validation():
         integrate_limit_system(0.5, step=0.02, epsilon=0.01)
     with pytest.raises(DomainError):
         integrate_limit_system(0.5, step=-1e-4, epsilon=1e-3)
+    for p in ("0.5", True):
+        with pytest.raises(InvalidSpec):
+            integrate_limit_system(p)
 
 
 def test_step_floor_refuses_before_allocating(monkeypatch):
@@ -200,6 +203,8 @@ def test_top3_limit_values():
         top3_limit(-0.1)
     with pytest.raises(DomainError):
         top3_limit(1.1)
+    with pytest.raises(DomainError):
+        top3_limit(math.nan)
 
 
 def test_top3_derivative_values():
@@ -210,6 +215,8 @@ def test_top3_derivative_values():
         top3_limit_derivative(0.0)
     with pytest.raises(DomainError):
         top3_limit_derivative(1.0)
+    with pytest.raises(DomainError):
+        top3_limit_derivative(math.nan)
 
 
 def test_top3_derivative_matches_finite_difference():
@@ -241,3 +248,5 @@ def test_optimal_x_bad_tolerance():
         optimal_x_top3(0.0)
     with pytest.raises(DomainError):
         optimal_x_top3(-1e-3)
+    with pytest.raises(DomainError):  # refused before 200 bisections end in BracketError
+        optimal_x_top3(math.nan)

@@ -11,6 +11,7 @@ from secretarylab import (
 )
 from secretarylab.errors import (
     DegenerateInstance,
+    DomainError,
     IndexOutOfRange,
     InvalidSpec,
     TooLarge,
@@ -37,6 +38,11 @@ def test_top3_errors():
         exact_top3(3, 1)
     with pytest.raises(IndexOutOfRange):
         exact_top3(5, 5)
+    # True and 1.0 hash as 1 does: they must be refused, not served 1's cached entry
+    exact_top3(5, 1)
+    for k in (True, 1.0):
+        with pytest.raises(DomainError):
+            exact_top3(5, k)
 
 
 def test_reappearance_classical_small_case():

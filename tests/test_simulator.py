@@ -136,10 +136,14 @@ def test_policy_reappearance_range_checks():
         run_policy_reappearance(seq, 0, 0.5, rng(6))
     with pytest.raises(IndexOutOfRange):
         run_policy_reappearance(seq, 6, 0.5, rng(6))
+    with pytest.raises(InvalidSpec):
+        run_policy_reappearance(seq, 2, 1.5, rng(6))
     single = generate_sequence(5, 0.0, rng(5))
     for k in (-1, 5):  # the top-3 rule takes k in 0..n-1
         with pytest.raises(IndexOutOfRange):
             run_policy_top3(single, k)
+    with pytest.raises(DomainError):
+        run_policy_top3(single, 1.5)
 
 
 def test_policy_reappearance_p0_equals_classical_rule():
@@ -567,15 +571,17 @@ def test_ranged_draw_is_bit_identical_to_trial_streams(n):
     # a block holds only the ranges the kernel reads, so one draw of whole
     # blocks is the ranged draw; each row must be what generate_sequence and
     # run_policy_reappearance read from that trial's stream, wherever the
-    # chunk starts and however the n, 3n or 4n block pads to the Philox step grid
+    # chunk starts and however the n, 3n or 4n block pads to the Philox step grid;
+    # a numpy integer start must give the stream its Python int gives, though
+    # its counter is past int64
     seed = 29
     for p, ranges in ((0.0, 1), (1.0, 3), (0.5, 4)):
         width = simulator._block_width(n, p)
         assert width == -(-ranges * n // 4) * 4
-        for first, rows in ((0, 2), (5, 3), (1, 1)):
+        for first, rows in ((0, 2), (5, 3), (1, 1), (np.int64(2**62), 2)):
             block = trial_stream(seed, first, n, p).random((rows, width))
             for row in range(rows):
-                gen = trial_stream(seed, first + row, n, p)
+                gen = trial_stream(seed, int(first) + row, n, p)
                 read = np.concatenate([gen.random(n) for _ in range(ranges)])  # n at a time
                 assert block[row, :ranges * n].tobytes() == read.tobytes()
 
@@ -643,8 +649,13 @@ def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
         raise AssertionError("drew uniforms for an oversized trial")
 
     monkeypatch.setattr(simulator.np.random, "Philox", refuse)
-    with pytest.raises(DomainError, match="n=1000000000"):
-        estimate(n=10**9, p=0.5, k=1, trials=1, seed=0)
+    # for numpy integers, n * 67 bytes wraps around int64 or its GiB figure
+    # comes out of int64 arithmetic, unless n is made a Python int first
+    for n, needle in ((10**9, "n=1000000000"),
+                      (np.int64(2**62 + 3), r"n=4611686018427387907 needs about 2\.88e\+11 GiB"),
+                      (np.int64(2**60), r"needs about 7\.19e\+10 GiB")):
+        with pytest.raises(DomainError, match=needle):
+            estimate(n=n, p=0.5, k=1, trials=1, seed=0)
 
 
 def test_estimate_reproducible():

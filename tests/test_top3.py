@@ -12,7 +12,7 @@ from secretarylab import (
     top3_limit,
     top3_table,
 )
-from secretarylab.errors import DegenerateInstance, IndexOutOfRange
+from secretarylab.errors import DegenerateInstance, DomainError, IndexOutOfRange, InvalidSpec
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10, 17, 100, 1000])
@@ -36,6 +36,8 @@ def test_ratio_errors():
         binom_survival_ratio(10, 10)
     with pytest.raises(IndexOutOfRange):
         binom_survival_ratio(10, -1)
+    with pytest.raises(DomainError):
+        binom_survival_ratio(10, 2.5)
 
 
 @pytest.mark.parametrize("n", [5, 37, 1000])
@@ -101,6 +103,8 @@ def test_degenerate_instances():
             top3_table(n)
         with pytest.raises(DegenerateInstance):
             optimal_policy_top3(n)
+    with pytest.raises(InvalidSpec):
+        optimal_policy_top3(100.0)
 
 
 def test_published_values():
