@@ -9,8 +9,9 @@ The library checks every numeric domain itself; the command group maps its
 errors to exit codes in one place.  Invalid input exits 2: a
 ``SecretaryLabError`` that is a ``ValueError`` or ``IndexError``, or a bad
 option (including an unwritable ``--out``).  An arithmetic failure
-(``NonFinite``, ``BracketError``) exits 1; success exits 0.  The commands
-check only which options go with which ``--model``.
+(``NonFinite``, ``BracketError``) or a failed write to an opened file or
+stdout exits 1; success exits 0.  The commands check only which options
+go with which ``--model``.
 
 The default simulation seed may be overridden with the environment
 variable SECRETARYLAB_SEED (an integer).
@@ -70,15 +71,20 @@ def _write(chunks, out: str = "-"):
 
     Uses click.open_file, not click.echo: echo caches each stream it writes
     to, which keeps every redirected stdout alive for the life of the process.
+    A file that cannot be opened is a bad option (exit 2); a write or flush
+    that fails, as on a full disk, is an error of its own (exit 1).
     """
     try:
         fh = click.open_file(out, "w")
     except OSError as exc:
         raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="--out") from exc
-    with fh:
-        for chunk in chunks:
-            fh.write(chunk)
-        fh.flush()
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit(record: dict):

@@ -62,12 +62,17 @@ def integer(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainErr
 
 
 def real(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainError):
-    """``value`` unchanged if it is a real number in [lo, hi]; a bool, a string or NaN raises ``error``."""
+    """``value`` if it is a real number in [lo, hi]; a bool, a string or NaN raises ``error``.
+
+    A numpy float becomes a Python float, as ``integer`` makes a numpy
+    integer an int; an int or a Fraction is returned unchanged, so the
+    oracle keeps an exact p.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name}={value!r} is not a real number")
     if not lo <= value <= hi:
         raise error(f"{name}={value} outside [{lo}, {hi}]")
-    return value
+    return float(value) if isinstance(value, np.floating) else value
 
 
 # Largest n the exact solvers accept, tables and optimal policies alike.

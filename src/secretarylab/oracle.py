@@ -68,10 +68,11 @@ def exact_reappearance(n: int, p, k: int) -> ExactResult:
     binary value.  Limited to n <= 4 (the token-arrangement count explodes).
     One enumeration per n serves every p and k.
     """
-    n = _check_buildable(ProblemSpec(n, p))[0]
+    spec = ProblemSpec(n, p)
+    n = _check_buildable(spec)[0]
     if n > _MAX_REAPPEAR_N:
         raise TooLarge(f"exact re-arrival enumeration is limited to n <= {_MAX_REAPPEAR_N}")
-    k, p = check_k(k, n), Fraction(p)
+    k, p = check_k(k, n), Fraction(spec.p)
     probability = Fraction(0)
     for c in reversed(_reappearance_polynomials(n)[k - 1]):
         probability = probability * p + c

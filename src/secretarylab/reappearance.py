@@ -43,18 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """An instance of the re-arrival model: an integer n >= 1, kept as an int, and p in [0, 1]."""
+    """An instance of the re-arrival model: an integer n >= 1 and p in [0, 1], both as checked."""
 
     n: int
     p: float
 
     def __post_init__(self):
         object.__setattr__(self, "n", errors.integer("n", self.n, 1, error=InvalidSpec))
-        check_p(self.p)
+        object.__setattr__(self, "p", check_p(self.p))
 
 
 def check_p(p):
-    """``p`` unchanged if it is a real number in [0, 1]; anything else, NaN too, raises InvalidSpec."""
+    """``p`` as ``errors.real`` returns it if in [0, 1]; anything else, NaN too, raises InvalidSpec."""
     return errors.real("p", p, 0.0, 1.0, InvalidSpec)
 
 
@@ -83,6 +83,20 @@ class OptimalPolicy:
             if best is None or values[i] >= best.value:
                 best = cls(k_n=k0 + i, value=float(values[i]))
         return best
+
+
+def scan(op, x: np.ndarray, carry, reverse: bool = False):
+    """Accumulate ``op`` over ``x`` in place, from x[-1] down if ``reverse``; returns the far end.
+
+    The carry rule of every blockwise recurrence: ``carry``, the far end of
+    the previous block (op's identity for the first), is folded into the
+    starting element, so each block is bit-identical to the same rows of
+    one accumulate over the whole array.
+    """
+    v = x[::-1] if reverse else x
+    v[0] = op(v[0], carry)
+    op.accumulate(v, out=v)
+    return v[-1]
 
 
 def copy_blocks(blocks, size: int, columns: int = 1) -> list[np.ndarray]:
@@ -131,18 +145,15 @@ def _pa(n: int, p: float, j: np.ndarray) -> np.ndarray:
 def _upsilon_sums(e: np.ndarray, lo: int, d: float, u: float):
     """D[k] and sum_{j<=k} 1/D[j] for k = lo..lo+len(e)-1, in place of e = E[k].
 
-    ``d`` and ``u`` are both at k = lo-1; at lo = 1, D[1] = 1 starts the
-    product.  Each is folded into the block's first element before the
-    in-place cumprod/cumsum, so the result is bit-identical to one pass
-    over all k.
+    ``d`` and ``u`` are both at k = lo-1, the carries of two ``scan``s; at
+    lo = 1, D[1] = 1 starts the product.
     """
     if lo == 1:
         e[0] = 1.0
-    e[0] *= d
-    np.cumprod(e, out=e)
+    scan(np.multiply, e, d)
     r = np.divide(1.0, e)
-    r[0] += u
-    return e, np.cumsum(r, out=r)
+    scan(np.add, r, u)
+    return e, r
 
 
 def _table_blocks(n: int, p: float):
@@ -160,9 +171,9 @@ def _table_blocks(n: int, p: float):
     for k >= 1.  Blocks of ``errors.BLOCK`` thresholds walk k downward,
     carrying C, both suffix sums and phi[hi+1] into the next block; D and
     its reciprocal sum run upward, so a first upward sweep records their
-    values at each block start (two floats per block).  Every carry is
-    folded into the first element of its block's in-place cumprod/cumsum,
-    so the tables are bit-identical to a single pass over all k.
+    values at each block start (two floats per block).  Every product and
+    sum is a ``scan`` with its carry, so the tables are bit-identical to a
+    single pass over all k.
 
     The four columns, each in ascending k, are views of block-sized scratch
     that the next block overwrites: a caller copies or reduces them before
@@ -199,12 +210,9 @@ def _table_blocks(n: int, p: float):
         if hi == n:  # C[n] = 1 and the sums start empty
             ak[-1] = 0.0
             bk[-1] = 1.0
-        bk[-1] *= c
-        np.cumprod(bk[::-1], out=bk[::-1])  # C[k]
+        c = scan(np.multiply, bk, c, reverse=True)  # C[k]
         t = ak / bk
-        t[-1] += s_phi
-        np.cumsum(t[::-1], out=t[::-1])
-        c, s_phi = bk[0], t[0]
+        s_phi = scan(np.add, t, s_phi, reverse=True)
         t += p
         np.multiply(bk, t, out=phi)
 
@@ -216,9 +224,7 @@ def _table_blocks(n: int, p: float):
         g /= k
         if hi == n:
             g[-1] = 0.0
-        g[-1] += s_psi
-        np.cumsum(g[::-1], out=g[::-1])
-        s_psi, phi_up = g[0], phi[0]
+        s_psi, phi_up = scan(np.add, g, s_psi, reverse=True), phi[0]
         np.multiply(k, g, out=psi)
 
         dk, uk = _upsilon_sums(q[:-1], lo, d, u)

@@ -211,9 +211,15 @@ class SimulationReport:
 
 
 def trial_stream(seed: int, index: int, n: int, p: float) -> np.random.Generator:
-    """The per-trial generator: Philox(seed) at the block of trial ``index``, an integer >= 0."""
+    """The per-trial generator: Philox(seed) at the block of trial ``index``, an integer >= 0.
+
+    The whole block must fit in Philox's 256-bit counter, or its tail would
+    wrap onto trial 0's uniforms, so ``index`` is at most
+    2**256 // (block width / 4) - 1; past that it raises DomainError.
+    """
     seed = errors.integer("seed", seed, *_PHILOX_KEYS)
-    counter = errors.integer("index", index, 0) * _block_width(ProblemSpec(n, p).n, p) // 4
+    step = _block_width(ProblemSpec(n, p).n, p) // 4  # counter steps per trial
+    counter = errors.integer("index", index, 0, 2**256 // step - 1) * step
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 

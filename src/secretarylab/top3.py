@@ -35,7 +35,7 @@ import numpy as np
 
 from . import errors
 from .errors import DegenerateInstance, DomainError, IndexOutOfRange, InvalidSpec, NonFinite
-from .reappearance import OptimalPolicy, copy_blocks
+from .reappearance import OptimalPolicy, copy_blocks, scan
 
 __all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
 
@@ -80,10 +80,10 @@ def binom_survival_ratio(n: int, k: int) -> float:
 def _prob_blocks(n: int):
     """Yield (lo, prob[lo..hi]) in ascending k, block by block from k = n-1 down to 1.
 
-    The harmonic tail 3 (H_{n-1} - H_{k-1}) is one cumulative sum of 3/j
-    from the top, carried from each block into the highest element of the
-    next, so every block is bit-identical to the same rows of a single
-    whole-table sum.  The quadratic and the factor k/n are applied in place.
+    The harmonic tail 3 (H_{n-1} - H_{k-1}) is one ``scan`` of 3/j from the
+    top, carried from block to block, so every block is bit-identical to
+    the same rows of a single whole-table sum.  The quadratic and the
+    factor k/n are applied in place.
     Each block is a view of one block-sized buffer that the next block
     overwrites: a caller copies or reduces it before asking for the next.
     """
@@ -94,9 +94,7 @@ def _prob_blocks(n: int):
         lo = max(hi - block + 1, 1)
         k = np.arange(lo, hi + 1, dtype=np.float64)
         values = np.divide(3.0, k, out=buf[:hi - lo + 1])
-        values[-1] += tail
-        np.cumsum(values[::-1], out=values[::-1])
-        tail = values[0]
+        tail = scan(np.add, values, tail, reverse=True)
         poly = np.subtract(n, k)
         poly *= k + (9 - 5 * n)
         poly /= 2 * (n - 1) * (n - 2)

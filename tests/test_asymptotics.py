@@ -199,6 +199,8 @@ def test_top3_limit_values():
     direct = -1.5 * math.log(0.5) + 0.75 - 0.0625 - 1.25
     assert top3_limit(0.5) == pytest.approx(direct, abs=1e-15)
     assert abs(top3_limit(0.259) - 0.59) <= 5e-3
+    x = np.float32(0.3)  # a numpy float is computed as the Python float it equals
+    assert type(top3_limit(x)) is float and top3_limit(x) == top3_limit(float(x))
     with pytest.raises(DomainError):
         top3_limit(-0.1)
     with pytest.raises(DomainError):
@@ -211,6 +213,9 @@ def test_top3_derivative_values():
     assert top3_limit_derivative(0.1) == pytest.approx(-3 * math.log(0.1) + 0.6 - 0.015 - 5.5, abs=1e-15)
     assert top3_limit_derivative(0.5) == pytest.approx(-3 * math.log(0.5) + 3 - 0.375 - 5.5, abs=1e-15)
     assert abs(top3_limit_derivative(0.2599)) <= 1e-3
+    x = np.float32(0.3)
+    assert type(top3_limit_derivative(x)) is float
+    assert top3_limit_derivative(x) == top3_limit_derivative(float(x))
     with pytest.raises(DomainError):
         top3_limit_derivative(0.0)
     with pytest.raises(DomainError):

@@ -3,7 +3,10 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -324,6 +327,25 @@ def test_asymptotic_reappearance_p1(runner):
     assert abs(rec["result"]["probability"] - 0.76) <= 0.01
 
 
+@pytest.mark.parametrize("p,x_star,probability", [
+    (0.0, 0.3679, 0.3678794405969906),
+    (0.001, 0.371, 0.3709563265359931),
+    (0.1, 0.585, 0.608768721376196),
+    (0.25, 0.641, 0.735158768103104),
+    (0.5, 0.6055, 0.7614597736519556),
+    (0.75, 0.551, 0.7605104249759792),
+    (0.9, 0.5091, 0.7632516710842472),
+    (0.999, 0.4714, 0.7679047140121449),
+    (1.0, 0.4709, 0.7679672822797425),
+])
+def test_asymptotic_reappearance_table1_p_pinned(runner, p, x_star, probability):
+    # the RK4 optimum at the default step and offset: a change in how the
+    # curves are evaluated may move f* by rounding only; re-pin if the method changes
+    rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", str(p)])
+    assert rec["result"]["x_star"] == x_star
+    assert abs(rec["result"]["probability"] - probability) <= 1e-13
+
+
 def test_printed_tolerance():
     assert printed_tolerance("0.371") == pytest.approx(1e-3)
     assert printed_tolerance("0.6874") == pytest.approx(1e-4)
@@ -408,6 +430,34 @@ def test_rejects_invalid_input(runner, tmp_path, args, needles):
 
     result = runner.invoke(main, [fill(a) for a in args])
     assert_rejected(result, *map(fill, needles))
+
+
+full_device = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@full_device
+def test_write_failure_to_out_is_a_message(runner):
+    # --out opens, but the write fails: an error of its own, not a bad option
+    result = runner.invoke(main, ["curve", "--model", "top3", "--n", "4", "--out", "/dev/full"])
+    assert result.exit_code == 1, result.output
+    assert "Error: cannot write /dev/full: No space left on device" in result.output
+    assert "Traceback" not in result.output
+
+
+@full_device
+@pytest.mark.parametrize("args", [
+    pytest.param(["table1"], id="flush"),
+    pytest.param(["curve", "--model", "top3", "--n", "100000"], id="write"),
+])
+def test_write_failure_to_stdout_is_a_message(args):
+    # a real process: at exit Python flushes stdout once more, which must
+    # neither raise again ("Exception ignored") nor change the exit code
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "secretarylab.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "Error: cannot write -: No space left on device\n")
 
 
 @pytest.mark.parametrize("args,limit", [

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from secretarylab import (
@@ -106,6 +107,11 @@ def test_reappearance_frozen_values():
 
 def test_reappearance_float_p_is_exact_dyadic():
     assert exact_reappearance(4, 0.25, 2).probability == Fraction(7213, 16128)
+    # a numpy float is taken at its exact value, as the float it converts to
+    for n, p, k in ((4, 0.25, 2), (3, 0.5, 1)):
+        r = exact_reappearance(n, np.float32(p), k)
+        assert r == exact_reappearance(n, p, k)
+        assert type(r.probability) is Fraction and type(r.instance[1]) is Fraction
 
 
 def test_reappearance_errors():

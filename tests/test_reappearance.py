@@ -13,6 +13,7 @@ from secretarylab import (
 )
 from secretarylab.cli import TABLE1_ROWS
 from secretarylab.errors import IndexOutOfRange, InvalidSpec
+from secretarylab.reappearance import scan
 
 
 def classical_f(n):
@@ -62,6 +63,22 @@ def test_closed_forms_match_sequential_recurrence(n, p):
     assert np.argmax(t.f[1:]) == np.argmax(ref[3][1:])
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("op", [np.add, np.multiply])
+def test_scan_in_blocks_equals_one_accumulate(op, reverse):
+    rng = np.random.default_rng(17)
+    for size in [*range(1, 12), *rng.integers(12, 500, 40)]:
+        x = rng.uniform(0.5, 1.5, size)
+        whole = op.accumulate(x[::-1])[::-1] if reverse else op.accumulate(x)
+        cuts = np.sort(rng.choice(np.arange(1, size), rng.integers(0, min(size, 12)), replace=False))
+        blocks = np.split(x, cuts)  # views of x, scanned in place
+        carry = float(op.identity)
+        for block in reversed(blocks) if reverse else blocks:
+            carry = scan(op, block, carry, reverse)
+        assert x.tobytes() == whole.tobytes(), (size, cuts)
+        assert carry == whole[0 if reverse else -1]
+
+
 def test_spec_validation():
     with pytest.raises(InvalidSpec):
         ProblemSpec(n=0, p=0.5)
@@ -73,7 +90,11 @@ def test_spec_validation():
         with pytest.raises(InvalidSpec, match="n=" if p == 0.5 else "p="):
             ProblemSpec(n=n, p=p)
     ProblemSpec(n=1, p=0.0)  # n=1 is a valid spec, just not buildable
-    ProblemSpec(n=np.int64(5), p=Fraction(1, 2))
+    # the spec keeps n and p as checked: numpy scalars become Python numbers
+    for p in (Fraction(1, 2), np.float32(0.5), 0.5, 1):
+        spec = ProblemSpec(n=np.int64(5), p=p)
+        assert (type(spec.n), type(spec.p)) == (int, float if isinstance(p, np.floating) else type(p))
+        assert spec.p == p
 
 
 def test_build_rejects_n1():

@@ -586,6 +586,22 @@ def test_ranged_draw_is_bit_identical_to_trial_streams(n):
                 assert block[row, :ranges * n].tobytes() == read.tobytes()
 
 
+@pytest.mark.parametrize("n,p", [(5, 0.0), (5, 0.5), (5, 1.0), (4, 0.5)])
+def test_trial_stream_index_stops_at_the_philox_counter(n, p):
+    # the last index's block ends at the counter's end, so it shares no
+    # uniform with trial 0's; the next index's block would wrap onto it
+    width = simulator._block_width(n, p)
+    step = width // 4  # 2, 5, 4 and 4 counter steps, 2**256 // 5 rounds down
+    last = 2**256 // step - 1
+    assert (last + 1) * step <= 2**256 < (last + 2) * step
+    tail = trial_stream(0, last, n, p).random(width)
+    assert not np.isin(tail, trial_stream(0, 0, n, p).random(width)).any()
+    with pytest.raises(DomainError, match=f"index={last + 1} outside 0..{last}"):
+        trial_stream(0, last + 1, n, p)
+    with pytest.raises(DomainError, match=f"outside 0..{last}"):
+        trial_stream(0, 2**300, n, p)
+
+
 @pytest.mark.parametrize("n", [4, 255, 256, 1001])
 @pytest.mark.parametrize("p,objective", [(0.0, "best"), (1.0, "best"), (0.0, "top3"), (0.5, "best")])
 def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
