@@ -16,6 +16,7 @@ from .asymptotics import (
     LimitCurve,
     RootResult,
     integrate_limit_system,
+    optimal_x_reappearance,
     optimal_x_top3,
     top3_limit,
     top3_limit_derivative,
@@ -65,6 +66,7 @@ __all__ = [
     "integrate_limit_system",
     "optimal_policy",
     "optimal_policy_top3",
+    "optimal_x_reappearance",
     "optimal_x_top3",
     "run_policy_reappearance",
     "run_policy_top3",

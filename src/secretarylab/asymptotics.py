@@ -9,12 +9,25 @@ ODE system with poles at both endpoints:
     upsilon'(x) = -(1/x + p/((1+p)(1-x))) upsilon(x) + 1/x
 
 with phi, psi anchored at x = 1 (values p and 0) and upsilon at x = 0
-(value 1); f = upsilon*phi + (1-upsilon)*psi.  The system is integrated
-with a fixed-step classical Runge-Kutta scheme on [eps, 1-eps], anchoring
-the boundary data at the offset points.  For 0 < p < 1 the finite-n curves
-do not settle near x = 1 (a boundary layer persists), and eps effectively
-plays the role of 1/n; results there are finite-size proxies, accurate to
-O(eps) at the endpoints.
+(value 1); f = upsilon*phi + (1-upsilon)*psi.  Each equation is linear in
+its own curve, so integrating factors solve the system.  With
+c = p/(1+p) and G(t) = t^(p-1) (t + (1-p^2)/p (1-t)):
+
+    phi(x)     = x^(1-p) c int_0^1 r^(c-1) G(1 - r(1-x)) dr
+    psi(x)     = x (-(1-p) ln x + p int_x^1 phi(t)/t^2 dt)
+    upsilon(x) = (1-x)^c (1 - (1-x)^(1-c)) / ((1-c) x)
+
+and at p = 0 phi = psi = f = -x ln x, upsilon = 1, the classical limit.
+The limit exists for every p, and the finite-n tables approach it as
+n^(-c).  ``optimal_x_reappearance`` evaluates it by Gauss quadrature and
+bisects f'.
+
+``integrate_limit_system`` integrates the same system with fixed-step
+classical Runge-Kutta on [eps, 1-eps], anchoring the boundary data at the
+offset points.  At p = 0 and p = 1 those anchors are exact and its curves
+converge to the closed form.  For 0 < p < 1 the anchor phi(1-eps) = p
+excites the homogeneous mode (1-x)^(-c), so the curves approach the limit
+only as eps^c: eps acts as a 1/n proxy there.
 
 The top-3 objective has a closed-form limit
 
@@ -36,7 +49,9 @@ from .reappearance import check_p, scan
 __all__ = [
     "LimitCurve",
     "RootResult",
+    "P_MIN_LIMIT",
     "integrate_limit_system",
+    "optimal_x_reappearance",
     "top3_limit",
     "top3_limit_derivative",
     "optimal_x_top3",
@@ -237,34 +252,112 @@ def top3_limit_derivative(x: float) -> float:
     return -3.0 * math.log(x) + 6.0 * x - 1.5 * x * x - 5.5
 
 
-_BRACKET = (0.05, 0.5)
+def _gauss_jacobi(c: float, m: int):
+    """Nodes r and weights w of the m-point Gauss rule for c r^(c-1) dr on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P^(0, c-1) on [-1, 1], mapped to [0, 1]; the weights
+    are the squared first components of the eigenvectors, and sum to 1 as
+    the weight does.  The entries are written in c, so a small c loses no
+    digits to c - 1, and the first diagonal entry as (c-1)/(c+1), which the
+    general form leaves 0/0 at c = 1.  At c = 1 this is Gauss-Legendre.
+    """
+    j = np.arange(1.0, m)
+    k = 2.0 * j - 1.0 + c
+    diagonal = np.concatenate(([(c - 1.0) / (c + 1.0)], (c - 1.0) ** 2 / (k * (k + 2.0))))
+    below = 2.0 * j * (j - 1.0 + c) / (k * np.sqrt((k + 1.0) * (2.0 * j - 2.0 + c)))
+    y, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(below, -1))  # reads the lower triangle
+    return 0.5 * (1.0 + y), vectors[0] ** 2
+
+
+def _reappearance_limit(p: float):
+    """(f', f) of the bookkeeping re-arrival limit, as functions of a float x in (0, 1).
+
+    phi's integral takes 16 Gauss-Jacobi nodes and psi's 40 Gauss-Legendre
+    nodes.  For p >= P_MIN_LIMIT twice as many move f and f' by under 5e-11
+    on [0.4, 1), where every optimum lies, and f* by under 2e-13.  f' is
+    assembled from the right-hand sides of the limit system.
+    """
+    c = p / (1.0 + p)
+    s, v = _gauss_jacobi(1.0, 40)
+    r, w = _gauss_jacobi(c, 16) if p > 0.0 else (None, None)
+
+    def phi(x):
+        if p == 0.0:
+            return -x * np.log(x)
+        d = np.multiply.outer(1.0 - x, r)  # 1 - t, for t = 1 - r (1 - x)
+        return x ** (1.0 - p) * (((1.0 - d) ** (p - 1.0) * (1.0 - d + (1.0 - p * p) / p * d)) @ w)
+
+    def curves(x):
+        t = x + (1.0 - x) * s
+        psi = x * (p * (1.0 - x) * ((phi(t) / t ** 2) @ v) - (1.0 - p) * math.log(x))
+        upsilon = (1.0 - x) ** c * (1.0 - (1.0 - x) ** (1.0 - c)) / ((1.0 - c) * x)
+        return float(phi(x)), float(psi), upsilon
+
+    def value(x):
+        phi_x, psi, upsilon = curves(x)
+        return upsilon * phi_x + (1.0 - upsilon) * psi
+
+    def derivative(x):
+        phi_x, psi, upsilon = curves(x)
+        (a, b), (g, h, e), (u, z) = _phi_terms(x, p), _psi_terms(x, p), _upsilon_terms(x, p)
+        return ((u * upsilon + z) * (phi_x - psi) + upsilon * (a * phi_x + b)
+                + (1.0 - upsilon) * (g * psi + h * phi_x + e))
+
+    return derivative, value
+
+
 _MAX_BISECT = 200
+
+
+def _bisect(derivative, value, a: float, b: float, tolerance: float) -> RootResult:
+    """Bisect ``derivative`` on [a, b] until |derivative| <= ``tolerance``.
+
+    The derivative must be positive at a and negative at b (checked), so
+    the root is a maximum of ``value``.
+    """
+    if not derivative(a) > 0.0 > derivative(b):
+        raise BracketError(f"derivative signs do not bracket a root on [{a}, {b}]")
+    for _ in range(_MAX_BISECT):
+        c = 0.5 * (a + b)
+        fc = derivative(c)
+        if abs(fc) <= tolerance:
+            return RootResult(x_star=c, value_at_root=value(c), residual=fc)
+        if fc > 0.0:
+            a = c
+        else:
+            b = c
+    raise BracketError(f"bisection could not reach |residual| <= {tolerance}; "
+                       "the practical floor is near 1e-14")
+
+
+# Below this p the optimum crowds x = 1 (1 - x* is about sqrt(p)) and the
+# evaluation loses digits as p falls: against a 40-digit series evaluation
+# of the closed form, f* is off by 6e-13 at p = 1e-6 (x* = 0.99900125),
+# 3.6e-12 at 1e-8 and 3.3e-11 at 1e-10.
+P_MIN_LIMIT = 1e-6
+
+
+def optimal_x_reappearance(p: float, tolerance: float) -> RootResult:
+    """Locate the maximiser of the bookkeeping re-arrival limit f by bisection.
+
+    Bisects f' on [0.05, 1 - 1e-6] until |f'(x)| drops to ``tolerance``.
+    p = 0 gives the classical 1/e; 0 < p < P_MIN_LIMIT raises DomainError.
+    """
+    p = float(check_p(p))
+    if 0.0 < p < P_MIN_LIMIT:
+        raise DomainError(f"need p = 0 or p >= {P_MIN_LIMIT} for the large-n limit, got p={p}")
+    if not real("tolerance", tolerance) > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    return _bisect(*_reappearance_limit(p), 0.05, 1.0 - 1e-6, tolerance)
 
 
 def optimal_x_top3(tolerance: float) -> RootResult:
     """Locate the maximiser of the top-3 limit curve by bisection.
 
-    Bisects the derivative on the fixed bracket [0.05, 0.5] (positive at
-    the left end, negative at the right; checked defensively) until the
-    residual |P'(x)| drops to ``tolerance``.
+    Bisects the derivative on [0.05, 0.5] until the residual |P'(x)| drops
+    to ``tolerance``.
     """
     if not real("tolerance", tolerance) > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    a, b = _BRACKET
-    fa = top3_limit_derivative(a)
-    fb = top3_limit_derivative(b)
-    if not (fa > 0.0 > fb):
-        raise BracketError(f"derivative signs do not bracket a root on [{a}, {b}]")
-    for _ in range(_MAX_BISECT):
-        c = 0.5 * (a + b)
-        fc = top3_limit_derivative(c)
-        if abs(fc) <= tolerance:
-            return RootResult(x_star=c, value_at_root=top3_limit(c), residual=fc)
-        if fc > 0.0:
-            a = c
-        else:
-            b = c
-    raise BracketError(
-        f"bisection could not reach |residual| <= {tolerance}; "
-        "the practical floor is near 1e-14"
-    )
+    return _bisect(top3_limit_derivative, top3_limit, 0.05, 0.5, tolerance)

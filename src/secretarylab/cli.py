@@ -13,6 +13,9 @@ option (including an unwritable ``--out``).  An arithmetic failure
 stdout exits 1; success exits 0.  The commands check only which options
 go with which ``--model``.
 
+``asymptotic`` prints the large-n optimum of either model from its closed
+form, located by bisection; its record's ``provenance.method`` says so.
+
 The default simulation seed may be overridden with the environment
 variable SECRETARYLAB_SEED (an integer).
 """
@@ -25,7 +28,7 @@ import sys
 import click
 
 from . import __version__, errors
-from .asymptotics import integrate_limit_system, optimal_x_top3
+from .asymptotics import optimal_x_reappearance, optimal_x_top3
 from .errors import SecretaryLabError
 from .reappearance import ProblemSpec, _check_buildable, _table_blocks, copy_blocks, optimal_policy
 from .simulator import STREAM_LAYOUT, estimate
@@ -283,40 +286,12 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 @main.command("asymptotic")
 @click.option("--model", type=click.Choice(["reappearance", "top3"]), required=True)
 @click.option("--p", type=float, default=None, help="Reappearance probability (reappearance model only).")
-@click.option("--step", type=float, default=None,
-              help="Integration step (reappearance model only).  [default: 1e-4]")
-@click.option("--epsilon", type=float, default=None,
-              help="Distance kept from x = 0 and x = 1 (reappearance model only).  [default: 1e-4]")
-def asymptotic(model: str, p: float | None, step: float | None, epsilon: float | None):
+def asymptotic(model: str, p: float | None):
     """Limiting optimal threshold as n grows without bound."""
     p = _check_p(model, p)
-    if model == "top3":
-        for name, value in (("--step", step), ("--epsilon", epsilon)):
-            if value is not None:
-                raise click.BadParameter(f"{name} does not apply to the top-3 model", param_hint=name)
-        root = optimal_x_top3(1e-9)
-        _emit(_record(
-            "asymptotic",
-            {"model": model, "p": p},
-            {
-                "x_star": root.x_star,
-                "probability": root.value_at_root,
-                "residual": root.residual,
-            },
-        ))
-        return
-    step = 1e-4 if step is None else step
-    epsilon = 1e-4 if epsilon is None else epsilon
-    _, _, _, f_curve = integrate_limit_system(p, step=step, epsilon=epsilon)
-    i = int(f_curve.values.argmax())
-    _emit(_record(
-        "asymptotic",
-        {"model": model, "p": p, "step": step, "epsilon": epsilon},
-        {
-            "x_star": float(f_curve.grid[i]),
-            "probability": float(f_curve.values[i]),
-        },
-    ))
+    root = optimal_x_top3(1e-9) if model == "top3" else optimal_x_reappearance(p, 1e-9)
+    result = {"x_star": root.x_star, "probability": root.value_at_root, "residual": root.residual}
+    _emit(_record("asymptotic", {"model": model, "p": p}, result, method="closed form"))
 
 
 if __name__ == "__main__":

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from secretarylab import (
+    ProblemSpec,
     integrate_limit_system,
+    optimal_policy,
+    optimal_x_reappearance,
     optimal_x_top3,
     top3_limit,
     top3_limit_derivative,
     top3_table,
 )
-from secretarylab.asymptotics import _phi_terms, _psi_terms, _upsilon_terms
+from secretarylab.asymptotics import _phi_terms, _psi_terms, _reappearance_limit, _upsilon_terms
 from secretarylab.cli import TABLE1_ROWS
 from secretarylab.errors import DomainError, InvalidSpec
 
@@ -183,6 +186,39 @@ def test_half_return_finite_size_proxy():
     i = int(np.argmax(f.values))
     assert abs(f.grid[i] - 0.57) <= 0.02
     assert abs(f.values[i] - 0.6875) <= 0.02
+
+
+def test_rk4_tracks_closed_form_at_p1():
+    # at p = 1 the RK4 anchors are exact, so its curve is an oracle for the
+    # closed form; the gap scales with epsilon (5.8e-4 at epsilon = 1e-3)
+    _, value = _reappearance_limit(1.0)
+    _, _, _, f = integrate_limit_system(1.0, step=1e-4, epsilon=1e-4)
+    window = np.flatnonzero((f.grid >= 0.05) & (f.grid <= 0.95))[::50]
+    gap = max(abs(f.values[i] - value(float(f.grid[i]))) for i in window)
+    assert gap <= 1e-4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_reappearance_residual_is_the_slope_of_f(p):
+    derivative, value = _reappearance_limit(p)
+    h = 1e-5
+    for x in (0.3, 0.6, 0.9):
+        assert derivative(x) == pytest.approx((value(x + h) - value(x - h)) / (2 * h), abs=1e-6)
+    root = optimal_x_reappearance(p, 1e-9)
+    assert root.residual == derivative(root.x_star) and abs(root.residual) <= 1e-9
+    assert root.value_at_root == value(root.x_star)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
+def test_reappearance_optima_extrapolate_to_the_limit(p):
+    # the exact optima approach f* as n^(-c), c = p/(1+p), so
+    # v(10n) + (v(10n) - v(n)) 10^(-c)/(1 - 10^(-c)) estimates the limit
+    root = optimal_x_reappearance(p, 1e-9)
+    ratio = 10.0 ** (-p / (1.0 + p))
+    v = [optimal_policy(ProblemSpec(n=10 ** e, p=p)).value for e in (4, 5, 6)]
+    coarse, fine = (b + (b - a) * ratio / (1.0 - ratio) for a, b in zip(v, v[1:]))
+    assert abs(fine - root.value_at_root) <= 3e-5
+    assert 3.0 * abs(fine - root.value_at_root) <= abs(coarse - root.value_at_root)
 
 
 def test_finite_n_tables_approach_top3_limit():

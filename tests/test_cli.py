@@ -14,7 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 import secretarylab.cli as cli
-from secretarylab import ProblemSpec, build_tables, errors, exact_top3, top3_table
+from secretarylab import (
+    ProblemSpec, build_tables, errors, exact_top3, integrate_limit_system, top3_table,
+)
+from secretarylab.asymptotics import P_MIN_LIMIT
 from secretarylab.cli import main, printed_tolerance
 from secretarylab.errors import NonFinite
 
@@ -310,15 +313,25 @@ def test_top3_records_write_p_as_zero(runner, args):
 
 def test_asymptotic_reappearance_p0(runner):
     rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "0"])
-    assert abs(rec["result"]["x_star"] - 1 / math.e) <= 1e-3
-    assert abs(rec["result"]["probability"] - 1 / math.e) <= 1e-3
+    assert abs(rec["result"]["x_star"] - 1 / math.e) <= 1e-9
+    assert abs(rec["result"]["probability"] - 1 / math.e) <= 1e-9
 
 
 def test_asymptotic_reappearance_defaults(runner):
     rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "0.5"])
-    assert rec["parameters"] == {"model": "reappearance", "p": 0.5, "step": 1e-4, "epsilon": 1e-4}
-    explicit = ["--step", "0.0001", "--epsilon", "0.0001"]
-    assert run_json(runner, ["asymptotic", "--model", "reappearance", "--p", "0.5"] + explicit) == rec
+    assert rec["parameters"] == {"model": "reappearance", "p": 0.5}
+    for model in (["reappearance", "--p", "0.5"], ["top3"]):
+        for option in ("--step", "--epsilon"):
+            result = runner.invoke(main, ["asymptotic", "--model", *model, option, "1e-4"])
+            assert_rejected(result, "No such option", option)
+
+
+@pytest.mark.parametrize("model", ["reappearance", "top3"])
+def test_asymptotic_record_names_its_method(runner, model):
+    rec = run_json(runner, ["asymptotic", "--model", model, "--p", "0"])
+    assert rec["provenance"]["method"] == "closed form"
+    assert list(rec["result"]) == ["x_star", "probability", "residual"]
+    assert abs(rec["result"]["residual"]) <= 1e-9
 
 
 def test_asymptotic_reappearance_p1(runner):
@@ -327,23 +340,44 @@ def test_asymptotic_reappearance_p1(runner):
     assert abs(rec["result"]["probability"] - 0.76) <= 0.01
 
 
-@pytest.mark.parametrize("p,x_star,probability", [
-    (0.0, 0.3679, 0.3678794405969906),
-    (0.001, 0.371, 0.3709563265359931),
-    (0.1, 0.585, 0.608768721376196),
-    (0.25, 0.641, 0.735158768103104),
-    (0.5, 0.6055, 0.7614597736519556),
-    (0.75, 0.551, 0.7605104249759792),
-    (0.9, 0.5091, 0.7632516710842472),
-    (0.999, 0.4714, 0.7679047140121449),
-    (1.0, 0.4709, 0.7679672822797425),
+# Each row: p, the optimum of the RK4 curve at step 1e-4 and offset 1e-4
+# (its grid x and f), and the closed-form optimum that `asymptotic` prints.
+# The closed-form values come from its Gauss-Jacobi evaluation, checked
+# against a nested scipy.integrate.quad evaluation of the same closed form
+# (f* within 4e-14).
+@pytest.mark.parametrize("p,rk4_x,rk4_f,x_star,probability", [
+    pytest.param(*row, id="-".join(map(str, row[:3]))) for row in [
+        (0.0, 0.3679, 0.3678794405969906, 1 / math.e, 1 / math.e),
+        (0.001, 0.371, 0.3709563265359931, 0.969605557, 0.996986435462),
+        (0.1, 0.585, 0.608768721376196, 0.775090902, 0.898552189912),
+        (0.25, 0.641, 0.735158768103104, 0.692919769, 0.832932454131),
+        (0.5, 0.6055, 0.7614597736519556, 0.616205875, 0.783492188245),
+        (0.75, 0.551, 0.7605104249759792, 0.553511433, 0.765928680039),
+        (0.9, 0.5091, 0.7632516710842472, 0.509865713, 0.764848296290),
+        (0.999, 0.4714, 0.7679047140121449, 0.471392590, 0.767925121987),
+        (1.0, 0.4709, 0.7679672822797425, 0.470926544, 0.767974267280),
+    ]
 ])
-def test_asymptotic_reappearance_table1_p_pinned(runner, p, x_star, probability):
-    # the RK4 optimum at the default step and offset: a change in how the
-    # curves are evaluated may move f* by rounding only; re-pin if the method changes
+def test_asymptotic_reappearance_table1_p_pinned(runner, p, rk4_x, rk4_f, x_star, probability):
     rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", str(p)])
-    assert rec["result"]["x_star"] == x_star
-    assert abs(rec["result"]["probability"] - probability) <= 1e-13
+    assert abs(rec["result"]["x_star"] - x_star) <= 1e-7
+    assert abs(rec["result"]["probability"] - probability) <= 1e-10
+    # the library's RK4 optimum at its default step and offset
+    _, _, _, f = integrate_limit_system(p)
+    i = int(f.values.argmax())
+    assert f.grid[i] == rk4_x
+    assert abs(f.values[i] - rk4_f) <= 1e-13
+
+
+def test_asymptotic_reappearance_floor(runner):
+    result = runner.invoke(main, ["asymptotic", "--model", "reappearance", "--p", "1e-9"])
+    assert_rejected(result, "p=1e-09", str(P_MIN_LIMIT))
+    # at the floor: a 40-digit series evaluation of the closed form (mpmath)
+    # gives x* = 0.9990012509644, f* = 0.99999359010465; nested scipy quad
+    # gives 0.999001252, 0.999993590055
+    rec = run_json(runner, ["asymptotic", "--model", "reappearance", "--p", str(P_MIN_LIMIT)])
+    assert abs(rec["result"]["x_star"] - 0.9990012509644) <= 1e-7
+    assert abs(rec["result"]["probability"] - 0.99999359010465) <= 1e-10
 
 
 def test_printed_tolerance():
@@ -397,14 +431,14 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  ["k=10"], id="simulate-top3-k"),
     pytest.param(["simulate", "--model", "reappearance", "--n", "10", "--p", "1.5",
                   "--k", "3", "--trials", "10"], ["p=1.5"], id="simulate-p"),
-    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--epsilon", "0.3"], ["epsilon=0.3"],
+    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--epsilon", "0.3"], ["--epsilon"],
                  id="asymptotic-epsilon"),
-    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "0.5"], ["step=0.5"],
+    pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "0.5"], ["--step"],
                  id="asymptotic-step"),
     pytest.param(["asymptotic", "--model", "reappearance", "--p", "1.5"], ["p=1.5"],
                  id="asymptotic-p"),
     pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "1e-9", "--epsilon", "1e-3"],
-                 ["step=1e-09"], id="asymptotic-step-floor"),
+                 ["--step"], id="asymptotic-step-floor"),
     pytest.param(["curve", "--model", "top3", "--n", "10", "--p", "0.5"], ["--p"],
                  id="curve-top3-p"),
     pytest.param(["asymptotic", "--model", "top3", "--p", "0.5"], ["--p"],

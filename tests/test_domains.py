@@ -18,6 +18,7 @@ from secretarylab import (
     integrate_limit_system,
     optimal_policy,
     optimal_policy_top3,
+    optimal_x_reappearance,
     optimal_x_top3,
     run_policy_reappearance,
     run_policy_top3,
@@ -71,6 +72,8 @@ ENTRY_POINTS = [
     ("top3_limit", top3_limit, dict(x=0.5), {"x": DomainError}),
     ("top3_limit_derivative", top3_limit_derivative, dict(x=0.5), {"x": DomainError}),
     ("optimal_x_top3", optimal_x_top3, dict(tolerance=1e-9), {"tolerance": DomainError}),
+    ("optimal_x_reappearance", optimal_x_reappearance, dict(p=0.5, tolerance=1e-9),
+     {"p": InvalidSpec, "tolerance": DomainError}),
 ]
 
 
