@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError, InvalidSpec, NonFinite, real
-from .reappearance import check_p, scan
+from .reappearance import check_p
 
 __all__ = [
     "LimitCurve",
@@ -91,8 +91,8 @@ class RootResult:
 
 # Each right-hand side is linear in its own curve: slope = coefficient * curve
 # + forcing (psi's forcing also carries a phi term).  These pairs are the one
-# statement of the ODE; the integrator reads them over arrays of x, the tests
-# at scalar x.
+# statement of the ODE; the integrator, the closed form's f' and the tests
+# read them at scalar x.
 
 def _phi_terms(x, p):
     """(coefficient, forcing) of phi' = coefficient * phi + forcing."""
@@ -121,34 +121,10 @@ def _rk4_step(rhs, x, h, y):
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _affine_steps(rhs, x, h, dim):
-    """RK4 step maps of a linear system, for every start point in ``x`` at once.
-
-    The state is extended by a constant component 1, so a step of the
-    linear system is a linear map of the extended state; stepping each unit
-    vector gives its columns.  Returns M with M[j, c] the array, over x, of
-    how much of start component j (j = dim is the constant) ends in
-    component c.
-    """
-    basis = np.eye(dim + 1)[:, :, None]
-    return _rk4_step(rhs, x, h, basis * np.ones_like(x))
-
-
-def _solve_backward(a: np.ndarray, b: np.ndarray, y: np.ndarray):
-    """Fill y[:-1] from y[-1] by y[i] = a[i] y[i+1] + b[i], overwriting a and b.
-
-    Telescoped: y[i] = C[i] (y[-1] + sum_{j>=i} b[j]/C[j]), with C[i] the
-    product of a[i:], so the recurrence is two ``scan``s and no Python loop.
-    """
-    scan(np.multiply, a, 1.0, reverse=True)
-    b /= a
-    scan(np.add, b, y[-1], reverse=True)
-    np.multiply(a, b, out=y[:-1])
-
-
-# The RK4 stages of the step maps peak at 552 bytes per grid point
-# (tracemalloc): a process integrating at step 1e-6 (1e6 points) peaks near
-# 546 MiB resident, so a finer step is refused before anything is allocated.
+# The RK4 loops hold about 88 bytes per grid point (tracemalloc).  At step
+# 1e-6 (1e6 points) one call takes about 8 s and its process peaks near
+# 115 MiB resident (Python 3.11, 2-vCPU x86-64), so a finer step is refused
+# before anything is allocated.
 _MIN_STEP = 1e-6
 
 
@@ -161,19 +137,7 @@ def integrate_limit_system(
     stage values of phi); upsilon runs forward from x = eps.  Classical
     fixed-step fourth-order Runge-Kutta on a shared uniform grid; the step
     is rounded so the grid lands exactly on both ends.  A step below 1e-6
-    raises DomainError, which bounds the memory of one call.
-
-    The system is linear, so each RK4 step is an affine map of the state:
-    backward, phi <- P phi + Q and psi <- S psi + R phi + T (phi at the
-    start of the step), forward, upsilon <- U upsilon + V.  The maps of all
-    steps are computed at once with array arithmetic on the same stage
-    points, and each curve is then a first-order linear recurrence in the
-    grid index, solved in telescoped form by ``_solve_backward``: phi from
-    (P, Q), psi from (S, R phi + T) once phi is known, and upsilon from
-    (U, V) reversed.  This is the same scheme as stepping the right-hand
-    sides one stage at a time, with rounding in a different order: at the
-    published p, for steps and offsets from 1e-4 to 1e-2, the curves agree
-    with that evaluation to within 2.2e-14 and have the same argmax.
+    raises DomainError, which bounds the time of one call.
 
     Terminal data: upsilon(eps) = 1 and, for p > 0, phi(1-eps) = p,
     psi(1-eps) = 0.  At p = 0 both backward curves follow the classical
@@ -197,28 +161,22 @@ def integrate_limit_system(
     else:
         phi_end, psi_end = p, 0.0
 
-    def backward_rhs(x, y):
-        phi, psi, one = y[..., 0, :], y[..., 1, :], y[..., 2, :]
-        a, b = _phi_terms(x, p)
-        c, d, e = _psi_terms(x, p)
-        return np.stack((a * phi + b * one, c * psi + d * phi + e * one, 0.0 * one), axis=-2)
+    def backward(x, y):  # y = phi + i psi: RK4's real combinations act on each part
+        (a, b), (c, d, e) = _phi_terms(x, p), _psi_terms(x, p)
+        return complex(a * y.real + b, c * y.imag + d * y.real + e)
 
-    def forward_rhs(x, y):
-        ups, one = y[..., 0, :], y[..., 1, :]
+    def forward(x, u):
         c, e = _upsilon_terms(x, p)
-        return np.stack((c * ups + e * one, 0.0 * one), axis=-2)
+        return c * u + e
 
-    # entry i of each map steps the state at grid[i+1] back to grid[i]
-    back = _affine_steps(backward_rhs, grid[1:], -h, 2)
     phi, psi, ups = curves = np.empty((3, m + 1))
     phi[m], psi[m], ups[0] = phi_end, psi_end, 1.0
-    _solve_backward(back[0, 0], back[2, 0], phi)
-    back[0, 1] *= phi[1:]  # psi's forcing R phi[i+1] + T
-    back[2, 1] += back[0, 1]
-    _solve_backward(back[1, 1], back[2, 1], psi)
-    # entry i steps the state at grid[i] forward to grid[i+1]: backward once reversed
-    fwd = _affine_steps(forward_rhs, grid[:-1], h, 1)
-    _solve_backward(fwd[0, 0, ::-1], fwd[1, 0, ::-1], ups[::-1])
+    y, u, xs = complex(phi_end, psi_end), 1.0, grid.tolist()
+    for i in range(m, 0, -1):
+        y = _rk4_step(backward, xs[i], -h, y)
+        phi[i - 1], psi[i - 1] = y.real, y.imag
+    for i in range(m):
+        ups[i + 1] = u = _rk4_step(forward, xs[i], h, u)
 
     if not np.isfinite(curves).all():
         raise NonFinite(f"integration diverged for p={p}, step={step}, eps={epsilon}")

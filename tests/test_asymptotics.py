@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from secretarylab.errors import DomainError, InvalidSpec
 def stagewise_rk4(p, step, epsilon):
     """Classical RK4 stepped one stage at a time on the right-hand sides as
     written out here, with the integrator's grid and anchors: a reference
-    for its affine-map evaluation.  Returns (phi, psi, upsilon) values."""
+    for its shared ``_rk4_step`` and complex (phi, psi) pairing.  Returns
+    (phi, psi, upsilon) values."""
     def rhs_phi(x, phi):
         return ((1.0 - p) / x + p / ((1.0 + p) * (1.0 - x))) * phi \
             - (p * x / ((1.0 + p) * (1.0 - x)) + (1.0 - p))
@@ -136,6 +138,19 @@ def test_step_floor_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "linspace", no_grid)
     with pytest.raises(DomainError, match="step=1e-09"):
         integrate_limit_system(0.5, step=1e-9, epsilon=1e-3)
+
+
+def test_integrator_memory_per_grid_point():
+    # numpy reports its buffers to tracemalloc.  Grid, three curves and f
+    # take 8 bytes a point each, the grid's list of floats 32 and f's
+    # temporaries the rest; nothing else may grow with the grid.
+    tracemalloc.start()
+    try:
+        curves = integrate_limit_system(0.5, step=1e-4, epsilon=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * curves[0].grid.size
 
 
 def test_classical_curve_matches_closed_form():
