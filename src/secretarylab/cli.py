@@ -94,6 +94,11 @@ def _emit(record: dict):
     _write([json.dumps(record) + "\n"])
 
 
+def _policy_fields(n: int, pol) -> dict:
+    """The result fields of OptimalPolicy ``pol`` in a record, in their printed order."""
+    return {"k_n": pol.k_n, "k_over_n": pol.k_n / n, "probability": pol.value}
+
+
 def _record(command: str, parameters: dict, result: dict, **provenance) -> dict:
     return {
         "command": command,
@@ -128,23 +133,14 @@ def main():
 def reappearance_solve(n: int, p: float):
     """Optimal threshold and success probability for the re-arrival model."""
     pol = optimal_policy(ProblemSpec(n=n, p=p))
-    _emit(_record(
-        "reappearance-solve",
-        {"n": n, "p": p},
-        {"k_n": pol.k_n, "k_over_n": pol.k_n / n, "probability": pol.value},
-    ))
+    _emit(_record("reappearance-solve", {"n": n, "p": p}, _policy_fields(n, pol)))
 
 
 @main.command("top3-solve")
 @click.option("--n", type=int, required=True, help="Number of candidates (n >= 4).")
 def top3_solve(n: int):
     """Optimal threshold and success probability for the top-3 objective."""
-    pol = optimal_policy_top3(n)
-    _emit(_record(
-        "top3-solve",
-        {"n": n},
-        {"k_n": pol.k_n, "k_over_n": pol.k_n / n, "probability": pol.value},
-    ))
+    _emit(_record("top3-solve", {"n": n}, _policy_fields(n, optimal_policy_top3(n))))
 
 
 @main.command("curve")
@@ -213,8 +209,7 @@ def _reproduce_table(fmt: str, name: str, key: str, references, solve):
         n, pol = solve(x)
         ok = pol.k_n == k_ref and abs(pol.value - float(printed)) <= printed_tolerance(printed)
         rows.append({
-            key: x, "k_n": pol.k_n, "k_over_n": pol.k_n / n,
-            "probability": pol.value, "reference_k_n": k_ref,
+            key: x, **_policy_fields(n, pol), "reference_k_n": k_ref,
             "reference_probability": printed, "status": "pass" if ok else "FAIL",
         })
     _print_table(fmt, name, rows)

@@ -166,6 +166,7 @@ class ArrivalSequence:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", errors.integer("n", self.n, 1, error=InvalidSpec))
         counts: dict[int, int] = {}
         ranks: dict[int, int] = {}
         for ev in self.events:
@@ -231,7 +232,8 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
     c-th and only once.  Candidate c is the c-th to arrive, and at equal
     times arrivals come before returns.
     """
-    n = ProblemSpec(n, p).n
+    spec = ProblemSpec(n, p)
+    n, p = spec.n, spec.p
     order = np.argsort(rng.random(n))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
@@ -276,14 +278,17 @@ def run_policy_reappearance(
     from ``rng`` up front, the coin of candidate c being coins[c - 1]; at p
     in {0, 1} the coin decides nothing and none is drawn.
     """
-    n = seq.n
-    k, p = check_k(k, n), check_p(p)
+    k, p = check_k(k, seq.n), check_p(p)
     # every coin p accepts a fresh leader at p = 0 and never at p = 1
-    coins = rng.random(n) if 0.0 < p < 1.0 else np.full(n, p)
+    coins = rng.random(seq.n) if 0.0 < p < 1.0 else np.full(seq.n, p)
+    return _threshold_walk(seq, k, p, coins)
 
+
+def _threshold_walk(seq: ArrivalSequence, k: int, p: float, coins: np.ndarray) -> TrialOutcome:
+    """The rule of run_policy_reappearance, with candidate c's coin at coins[c - 1]."""
     distinct = 0
     lead_cand = None
-    lead_rank = n + 1
+    lead_rank = seq.n + 1
     for t, ev in enumerate(seq.events):
         second = ev.appearance == 2
         if distinct < k:
@@ -306,17 +311,13 @@ def run_policy_top3(seq: ArrivalSequence, k: int) -> TrialOutcome:
 
     Rejects the first k arrivals, then accepts the first arrival better
     than everything seen.  Success is judged downstream as chosen rank <= 3.
+    This is the re-arrival walk at p = 0: every coin accepts, and the
+    distinct count is the position, so k = 0 hires the first arrival.
     """
-    n = seq.n
     if any(ev.appearance == 2 for ev in seq.events):
         raise MixedSequence("top-3 policy needs a single-appearance sequence (p=0)")
-    k = top3.check_k(k, n)
-    best = n + 1
-    for t, ev in enumerate(seq.events):
-        if t >= k and ev.rank < best:
-            return TrialOutcome(chosen_rank=ev.rank, stopped_at=t)
-        best = min(best, ev.rank)
-    return TrialOutcome(chosen_rank=None, stopped_at=None)
+    k = top3.check_k(k, seq.n)
+    return _threshold_walk(seq, k, 0.0, np.zeros(seq.n))
 
 
 def estimate(
@@ -335,7 +336,8 @@ def estimate(
     Checks every argument as the README's table of errors states, and that
     one trial holds at most 2 GiB (DomainError), before drawing anything.
     """
-    n = ProblemSpec(n, p).n
+    spec = ProblemSpec(n, p)
+    n, p = spec.n, spec.p
     trials = errors.integer("trials", trials, 1)
     seed = errors.integer("seed", seed, *_PHILOX_KEYS)
     if objective not in ("best", "top3"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from secretarylab import (
+    ArrivalEvent,
     ArrivalSequence,
     ProblemSpec,
     binom_survival_ratio,
@@ -50,6 +51,8 @@ ENTRY_POINTS = [
     ("optimal_policy", lambda n, p: optimal_policy(ProblemSpec(n, p)), dict(n=10, p=0.5),
      {"n": N_BUILT, "p": InvalidSpec}),
     ("success_probability", lambda k: success_probability(TABLES, k), dict(k=3), {"k": K}),
+    ("ArrivalSequence", lambda n: ArrivalSequence(events=(ArrivalEvent(1, 1, 1),), n=n),
+     dict(n=1), {"n": N}),
     ("run_policy_reappearance", lambda k, p: run_policy_reappearance(SEQ, k, p, RNG),
      dict(k=2, p=0.5), {"k": K, "p": InvalidSpec}),
     ("generate_sequence", lambda n, p: generate_sequence(n, p, RNG), dict(n=5, p=0.5),

@@ -26,7 +26,7 @@ from secretarylab import (
     trial_stream,
 )
 from secretarylab import simulator
-from secretarylab.oracle import exact_reappearance
+from secretarylab.oracle import exact_reappearance, exact_top3
 from secretarylab.errors import (
     DomainError,
     IndexOutOfRange,
@@ -128,6 +128,25 @@ def test_policy_top3_exhaustive_matches_table():
         hits += out.chosen_rank is not None and out.chosen_rank <= 3
     import math
     assert hits / math.factorial(n) == pytest.approx(top3_table(n).prob[k], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_policy_top3_matches_oracle_at_every_threshold(n):
+    seqs = [ArrivalSequence.from_ranks(ranks) for ranks in permutations(range(1, n + 1))]
+    for k in range(n):
+        hires = [run_policy_top3(seq, k).chosen_rank for seq in seqs]
+        hits = sum(r is not None and r <= 3 for r in hires)
+        assert hits == exact_top3(n, k).probability * factorial(n)
+
+
+def test_numpy_float_p_computes_as_the_python_float():
+    p32 = np.float32(0.999)
+    p = float(p32)
+    assert (estimate(n=100, p=p32, k=40, trials=20_000, seed=1)
+            == estimate(n=100, p=p, k=40, trials=20_000, seed=1))
+    for i in range(300):
+        assert (generate_sequence(100, p32, trial_stream(3, i, 100, p32))
+                == generate_sequence(100, p, trial_stream(3, i, 100, p)))
 
 
 def test_policy_reappearance_range_checks():
