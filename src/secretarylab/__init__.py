@@ -41,7 +41,7 @@ from .simulator import (
     run_policy_top3,
     trial_stream,
 )
-from .top3 import Top3Table, binom_survival_ratio, optimal_policy_top3, top3_table
+from .top3 import Top3Table, optimal_policy_top3, top3_table
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "SimulationReport",
     "Top3Table",
     "TrialOutcome",
-    "binom_survival_ratio",
     "build_tables",
     "estimate",
     "exact_reappearance",

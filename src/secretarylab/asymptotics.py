@@ -266,10 +266,11 @@ def _reappearance_limit(p: float):
 
 
 _MAX_BISECT = 200
+_TOLERANCE = 1e-9  # the precision ``asymptotic`` prints
 
 
-def _bisect(derivative, value, a: float, b: float, tolerance: float) -> RootResult:
-    """Bisect ``derivative`` on [a, b] until |derivative| <= ``tolerance``.
+def _bisect(derivative, value, a: float, b: float) -> RootResult:
+    """Bisect ``derivative`` on [a, b] until |derivative| <= ``_TOLERANCE``.
 
     The derivative must be positive at a and negative at b (checked), so
     the root is a maximum of ``value``.
@@ -279,14 +280,13 @@ def _bisect(derivative, value, a: float, b: float, tolerance: float) -> RootResu
     for _ in range(_MAX_BISECT):
         c = 0.5 * (a + b)
         fc = derivative(c)
-        if abs(fc) <= tolerance:
+        if abs(fc) <= _TOLERANCE:
             return RootResult(x_star=c, value_at_root=value(c), residual=fc)
         if fc > 0.0:
             a = c
         else:
             b = c
-    raise BracketError(f"bisection could not reach |residual| <= {tolerance}; "
-                       "the practical floor is near 1e-14")
+    raise BracketError(f"bisection could not reach |residual| <= {_TOLERANCE}")
 
 
 # Below this p the optimum crowds x = 1 (1 - x* is about sqrt(p)) and the
@@ -296,26 +296,21 @@ def _bisect(derivative, value, a: float, b: float, tolerance: float) -> RootResu
 P_MIN_LIMIT = 1e-6
 
 
-def optimal_x_reappearance(p: float, tolerance: float) -> RootResult:
+def optimal_x_reappearance(p: float) -> RootResult:
     """Locate the maximiser of the bookkeeping re-arrival limit f by bisection.
 
-    Bisects f' on [0.05, 1 - 1e-6] until |f'(x)| drops to ``tolerance``.
+    Bisects f' on [0.05, 1 - 1e-6] until |f'(x)| <= 1e-9.
     p = 0 gives the classical 1/e; 0 < p < P_MIN_LIMIT raises DomainError.
     """
     p = float(check_p(p))
     if 0.0 < p < P_MIN_LIMIT:
         raise DomainError(f"need p = 0 or p >= {P_MIN_LIMIT} for the large-n limit, got p={p}")
-    if not real("tolerance", tolerance) > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    return _bisect(*_reappearance_limit(p), 0.05, 1.0 - 1e-6, tolerance)
+    return _bisect(*_reappearance_limit(p), 0.05, 1.0 - 1e-6)
 
 
-def optimal_x_top3(tolerance: float) -> RootResult:
+def optimal_x_top3() -> RootResult:
     """Locate the maximiser of the top-3 limit curve by bisection.
 
-    Bisects the derivative on [0.05, 0.5] until the residual |P'(x)| drops
-    to ``tolerance``.
+    Bisects the derivative on [0.05, 0.5] until the residual |P'(x)| <= 1e-9.
     """
-    if not real("tolerance", tolerance) > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    return _bisect(top3_limit_derivative, top3_limit, 0.05, 0.5, tolerance)
+    return _bisect(top3_limit_derivative, top3_limit, 0.05, 0.5)

@@ -284,7 +284,7 @@ def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
 def asymptotic(model: str, p: float | None):
     """Limiting optimal threshold as n grows without bound."""
     p = _check_p(model, p)
-    root = optimal_x_top3(1e-9) if model == "top3" else optimal_x_reappearance(p, 1e-9)
+    root = optimal_x_top3() if model == "top3" else optimal_x_reappearance(p)
     result = {"x_star": root.x_star, "probability": root.value_at_root, "residual": root.residual}
     _emit(_record("asymptotic", {"model": model, "p": p}, result, method="closed form"))
 

@@ -37,7 +37,7 @@ from . import errors
 from .errors import DegenerateInstance, DomainError, IndexOutOfRange, InvalidSpec, NonFinite
 from .reappearance import OptimalPolicy, copy_blocks, scan
 
-__all__ = ["Top3Table", "binom_survival_ratio", "top3_table", "optimal_policy_top3"]
+__all__ = ["Top3Table", "top3_table", "optimal_policy_top3"]
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,6 @@ def _check_n(n) -> int:
 def check_k(k, n: int) -> int:
     """The threshold k as an int: DomainError unless an integer, IndexOutOfRange outside 0..n-1."""
     return errors.integer("threshold k", k, 0, n - 1, IndexOutOfRange, DomainError)
-
-
-def binom_survival_ratio(n: int, k: int) -> float:
-    """Probability that none of the first k+1 arrivals is a top-3 candidate.
-
-    Evaluates C(n-3, k+1) / C(n, k+1) in the cancelled product form
-    ((n-k-1)/n) * ((n-k-2)/(n-1)) * ((n-k-3)/(n-2)); every factor is at
-    most 1, so the computation cannot overflow for n up to 1e7.  The result
-    is exactly 0 whenever k+1 > n-3.
-    """
-    n = _check_n(n)
-    k = check_k(k, n)
-    r = ((n - k - 1) / n) * ((n - k - 2) / (n - 1)) * ((n - k - 3) / (n - 2))
-    return r + 0.0  # normalise -0.0 from the zero factor at the tail
 
 
 def _prob_blocks(n: int):

@@ -113,7 +113,7 @@ def test_criterion_04_guaranteed_return_limit():
 
 
 def test_criterion_05_top3_asymptotics():
-    root = optimal_x_top3(1e-9)
+    root = optimal_x_top3()
     assert abs(root.x_star - 0.2599) <= 1e-3
     assert abs(root.value_at_root - 0.5947) <= 1e-3
     assert top3_limit(1.0) == 0.0

@@ -8,6 +8,7 @@ from secretarylab import (
     ProblemSpec,
     integrate_limit_system,
     optimal_policy,
+    optimal_policy_top3,
     optimal_x_reappearance,
     optimal_x_top3,
     top3_limit,
@@ -219,21 +220,35 @@ def test_reappearance_residual_is_the_slope_of_f(p):
     h = 1e-5
     for x in (0.3, 0.6, 0.9):
         assert derivative(x) == pytest.approx((value(x + h) - value(x - h)) / (2 * h), abs=1e-6)
-    root = optimal_x_reappearance(p, 1e-9)
+    root = optimal_x_reappearance(p)
     assert root.residual == derivative(root.x_star) and abs(root.residual) <= 1e-9
     assert root.value_at_root == value(root.x_star)
 
 
+def extrapolate(v, v10, e):
+    """The limit of optima v(n) that approach it as n^(-e), from v = v(n)
+    and v10 = v(10n): v(10n) + (v(10n) - v(n)) 10^(-e)/(1 - 10^(-e))."""
+    ratio = 10.0 ** (-e)
+    return v10 + (v10 - v) * ratio / (1.0 - ratio)
+
+
 @pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
 def test_reappearance_optima_extrapolate_to_the_limit(p):
-    # the exact optima approach f* as n^(-c), c = p/(1+p), so
-    # v(10n) + (v(10n) - v(n)) 10^(-c)/(1 - 10^(-c)) estimates the limit
-    root = optimal_x_reappearance(p, 1e-9)
-    ratio = 10.0 ** (-p / (1.0 + p))
+    # the exact optima approach f* as n^(-c), c = p/(1+p)
+    root = optimal_x_reappearance(p)
     v = [optimal_policy(ProblemSpec(n=10 ** e, p=p)).value for e in (4, 5, 6)]
-    coarse, fine = (b + (b - a) * ratio / (1.0 - ratio) for a, b in zip(v, v[1:]))
+    coarse, fine = (extrapolate(a, b, p / (1.0 + p)) for a, b in zip(v, v[1:]))
     assert abs(fine - root.value_at_root) <= 3e-5
     assert 3.0 * abs(fine - root.value_at_root) <= abs(coarse - root.value_at_root)
+
+
+def test_top3_optima_extrapolate_to_the_limit():
+    # the exact top-3 optima approach P(x*) as 1/n
+    root = optimal_x_top3()
+    v, v10 = (optimal_policy_top3(n).value for n in (10**5, 10**6))
+    limit = extrapolate(v, v10, 1.0)
+    assert abs(limit - root.value_at_root) <= 1e-10
+    assert 50.0 * abs(limit - root.value_at_root) <= abs(v10 - root.value_at_root)
 
 
 def test_finite_n_tables_approach_top3_limit():
@@ -283,7 +298,7 @@ def test_top3_derivative_matches_finite_difference():
 
 
 def test_optimal_x():
-    root = optimal_x_top3(1e-9)
+    root = optimal_x_top3()
     assert root.x_star == pytest.approx(0.2599716, abs=1e-6)
     assert root.value_at_root == pytest.approx(0.5947294, abs=1e-6)
     assert abs(root.residual) <= 1e-9
@@ -291,18 +306,3 @@ def test_optimal_x():
     # the root is a maximum, not just a stationary point
     assert root.value_at_root > top3_limit(root.x_star + 0.05)
     assert root.value_at_root > top3_limit(root.x_star - 0.05)
-
-
-def test_optimal_x_loose_tolerance():
-    root = optimal_x_top3(1e-2)
-    assert abs(root.x_star - 0.2599) <= 1e-2
-    assert abs(root.residual) <= 1e-2
-
-
-def test_optimal_x_bad_tolerance():
-    with pytest.raises(DomainError):
-        optimal_x_top3(0.0)
-    with pytest.raises(DomainError):
-        optimal_x_top3(-1e-3)
-    with pytest.raises(DomainError):  # refused before 200 bisections end in BracketError
-        optimal_x_top3(math.nan)

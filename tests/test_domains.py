@@ -10,7 +10,6 @@ from secretarylab import (
     ArrivalEvent,
     ArrivalSequence,
     ProblemSpec,
-    binom_survival_ratio,
     build_tables,
     estimate,
     exact_reappearance,
@@ -20,7 +19,6 @@ from secretarylab import (
     optimal_policy,
     optimal_policy_top3,
     optimal_x_reappearance,
-    optimal_x_top3,
     run_policy_reappearance,
     run_policy_top3,
     success_probability,
@@ -65,7 +63,6 @@ ENTRY_POINTS = [
      {"seed": COUNT, "index": COUNT, "n": N, "p": InvalidSpec}),
     ("exact_reappearance", exact_reappearance, dict(n=3, p=0.5, k=1),
      {"n": N_BUILT, "p": InvalidSpec, "k": K}),
-    ("binom_survival_ratio", binom_survival_ratio, dict(n=10, k=2), {"n": N_BUILT, "k": K}),
     ("run_policy_top3", lambda k: run_policy_top3(SINGLE, k), dict(k=1), {"k": K}),
     ("top3_table", top3_table, dict(n=10), {"n": N_BUILT}),
     ("optimal_policy_top3", optimal_policy_top3, dict(n=10), {"n": N_BUILT}),
@@ -74,9 +71,7 @@ ENTRY_POINTS = [
      {"p": InvalidSpec, "step": DomainError, "epsilon": DomainError}),
     ("top3_limit", top3_limit, dict(x=0.5), {"x": DomainError}),
     ("top3_limit_derivative", top3_limit_derivative, dict(x=0.5), {"x": DomainError}),
-    ("optimal_x_top3", optimal_x_top3, dict(tolerance=1e-9), {"tolerance": DomainError}),
-    ("optimal_x_reappearance", optimal_x_reappearance, dict(p=0.5, tolerance=1e-9),
-     {"p": InvalidSpec, "tolerance": DomainError}),
+    ("optimal_x_reappearance", optimal_x_reappearance, dict(p=0.5), {"p": InvalidSpec}),
 ]
 
 

@@ -1,51 +1,23 @@
-from math import comb
-
 import numpy as np
 import pytest
 
 from secretarylab import (
     ProblemSpec,
-    binom_survival_ratio,
     build_tables,
     exact_top3,
     optimal_policy_top3,
     top3_limit,
     top3_table,
 )
-from secretarylab.errors import DegenerateInstance, DomainError, IndexOutOfRange, InvalidSpec
-
-
-@pytest.mark.parametrize("n", [4, 5, 7, 10, 17, 100, 1000])
-def test_ratio_matches_binomial_oracle(n):
-    for k in range(n) if n <= 20 else list(range(10)) + [n // 2, n - 4, n - 3, n - 2, n - 1]:
-        expected = comb(n - 3, k + 1) / comb(n, k + 1) if k + 1 <= n - 3 else 0.0
-        assert binom_survival_ratio(n, k) == pytest.approx(expected, abs=1e-15)
-
-
-def test_ratio_spot_values():
-    assert binom_survival_ratio(10, 6) == pytest.approx(1 / 120, abs=1e-16)
-    assert binom_survival_ratio(10, 7) == 0.0
-    assert binom_survival_ratio(100, 0) == pytest.approx(0.97, abs=1e-15)
-    assert binom_survival_ratio(100, 2) == pytest.approx(comb(97, 3) / comb(100, 3), abs=1e-15)
-
-
-def test_ratio_errors():
-    with pytest.raises(DegenerateInstance):
-        binom_survival_ratio(3, 0)
-    with pytest.raises(IndexOutOfRange):
-        binom_survival_ratio(10, 10)
-    with pytest.raises(IndexOutOfRange):
-        binom_survival_ratio(10, -1)
-    with pytest.raises(DomainError):
-        binom_survival_ratio(10, 2.5)
+from secretarylab.errors import DegenerateInstance, InvalidSpec
 
 
 @pytest.mark.parametrize("n", [5, 37, 1000])
 def test_recurrence_identity(n):
     prob = top3_table(n).prob
     for k in range(n - 1, -1, -1):
-        r = binom_survival_ratio(n, k)
-        step = (1.0 - r) / (k + 1) + k / (k + 1) * prob[k + 1]
+        q = max(0.0, ((n - k - 1) / n) * ((n - k - 2) / (n - 1)) * ((n - k - 3) / (n - 2)))
+        step = (1.0 - q) / (k + 1) + k / (k + 1) * prob[k + 1]
         assert prob[k] == pytest.approx(step, abs=1e-12)
 
 
