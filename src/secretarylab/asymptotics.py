@@ -211,21 +211,29 @@ def top3_limit_derivative(x: float) -> float:
 
 
 def _gauss_jacobi(c: float, m: int):
-    """Nodes r and weights w of the m-point Gauss rule for c r^(c-1) dr on [0, 1].
+    """Nodes r and weights w of the m-point Gauss rule for c r^(c-1) dr on [0, 1], 0 < c < 1.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     Jacobi polynomials P^(0, c-1) on [-1, 1], mapped to [0, 1]; the weights
     are the squared first components of the eigenvectors, and sum to 1 as
     the weight does.  The entries are written in c, so a small c loses no
-    digits to c - 1, and the first diagonal entry as (c-1)/(c+1), which the
-    general form leaves 0/0 at c = 1.  At c = 1 this is Gauss-Legendre.
+    digits to c - 1; the first diagonal entry, 0/0 at c = 1, is finite for
+    every c the limit asks for (c = p/(1+p) <= 1/2).
     """
+    k = 2.0 * np.arange(m) - 1.0 + c  # 2j - 1 + c for j = 0..m-1
     j = np.arange(1.0, m)
-    k = 2.0 * j - 1.0 + c
-    diagonal = np.concatenate(([(c - 1.0) / (c + 1.0)], (c - 1.0) ** 2 / (k * (k + 2.0))))
-    below = 2.0 * j * (j - 1.0 + c) / (k * np.sqrt((k + 1.0) * (2.0 * j - 2.0 + c)))
+    diagonal = (c - 1.0) ** 2 / (k * (k + 2.0))
+    below = 2.0 * j * (j - 1.0 + c) / (k[1:] * np.sqrt((k[1:] + 1.0) * (2.0 * j - 2.0 + c)))
     y, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(below, -1))  # reads the lower triangle
     return 0.5 * (1.0 + y), vectors[0] ** 2
+
+
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]; the weights sum to 1."""
+    from numpy.polynomial.legendre import leggauss  # here, so importing the CLI does not load it
+
+    s, v = leggauss(m)
+    return 0.5 * (1.0 + s), 0.5 * v
 
 
 def _reappearance_limit(p: float):
@@ -237,7 +245,7 @@ def _reappearance_limit(p: float):
     assembled from the right-hand sides of the limit system.
     """
     c = p / (1.0 + p)
-    s, v = _gauss_jacobi(1.0, 40)
+    s, v = _gauss_legendre(40)
     r, w = _gauss_jacobi(c, 16) if p > 0.0 else (None, None)
 
     def phi(x):

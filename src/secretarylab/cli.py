@@ -5,13 +5,14 @@ field order, repr-precision floats in JSON, fixed decimal formatting in
 CSV.  Results go to stdout, errors to stderr as a message, never a
 traceback.
 
-The library checks every numeric domain itself; the command group maps its
-errors to exit codes in one place.  Invalid input exits 2: a
+The library owns every numeric range, ``--seed``'s included; the command
+group maps its errors to exit codes in one place.  Invalid input exits 2: a
 ``SecretaryLabError`` that is a ``ValueError`` or ``IndexError``, or a bad
 option (including an unwritable ``--out``).  An arithmetic failure
 (``NonFinite``, ``BracketError``) or a failed write to an opened file or
-stdout exits 1; success exits 0.  The commands check only which options
-go with which ``--model``.
+stdout exits 1; success exits 0.  The commands check only option
+combinations (which options go with which ``--model``; ``--p`` has no
+default and is required for the re-arrival model) and ``--precision``.
 
 ``asymptotic`` prints the large-n optimum of either model from its closed
 form, located by bisection; its record's ``provenance.method`` says so.
@@ -256,12 +257,12 @@ def _fmt_cell(v) -> str:
 @main.command("simulate")
 @click.option("--model", type=click.Choice(["reappearance", "top3"]), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--p", type=float, default=0.0, show_default=True)
+@click.option("--p", type=float, default=None, help="Reappearance probability (reappearance model only).")
 @click.option("--k", type=int, required=True)
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=DEFAULT_SEED,
+@click.option("--seed", type=int, default=DEFAULT_SEED,
               envvar="SECRETARYLAB_SEED", show_default=True, show_envvar=True)
-def simulate(model: str, n: int, p: float, k: int, trials: int, seed: int):
+def simulate(model: str, n: int, p: float | None, k: int, trials: int, seed: int):
     """Monte Carlo estimate of a policy's success probability."""
     p = _check_p(model, p)
     objective = "top3" if model == "top3" else "best"

@@ -40,7 +40,7 @@ class ExactResult:
 
 def exact_top3(n: int, k: int) -> ExactResult:
     """Top-3 success probability of threshold k, by full permutation sweep."""
-    n = top3._check_n(n)  # checked outside the cache, where True and 1.0 would find 1's entry
+    n = top3.check_n(n)  # checked outside the cache, where True and 1.0 would find 1's entry
     if n > _MAX_TOP3_N:
         raise TooLarge(f"exact top-3 enumeration is limited to n <= {_MAX_TOP3_N}")
     return _exact_top3(n, top3.check_k(k, n))

@@ -316,7 +316,7 @@ def run_policy_top3(seq: ArrivalSequence, k: int) -> TrialOutcome:
     """
     if any(ev.appearance == 2 for ev in seq.events):
         raise MixedSequence("top-3 policy needs a single-appearance sequence (p=0)")
-    k = top3.check_k(k, seq.n)
+    k = top3.check_k(k, top3.check_n(seq.n))
     return _threshold_walk(seq, k, 0.0, np.zeros(seq.n))
 
 
@@ -333,10 +333,12 @@ def estimate(
     objective "best" runs the re-arrival policy and scores rank-1 hires;
     "top3" requires p = 0, runs the classical rule, and scores rank <= 3.
     Bit-for-bit reproducible for fixed arguments (see module docstring).
-    Checks every argument as the README's table of errors states, and that
-    one trial holds at most 2 GiB (DomainError), before drawing anything.
+    Before drawing anything, checks each argument with the function that
+    owns it (the README's table of errors): n with ``ProblemSpec``, or with
+    ``top3.check_n`` for "top3"; the seed as a Philox key, 0 to 2**128 - 1;
+    and that one trial holds at most 2 GiB (DomainError).
     """
-    spec = ProblemSpec(n, p)
+    spec = ProblemSpec(top3.check_n(n) if objective == "top3" else n, p)
     n, p = spec.n, spec.p
     trials = errors.integer("trials", trials, 1)
     seed = errors.integer("seed", seed, *_PHILOX_KEYS)

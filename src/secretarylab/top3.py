@@ -48,7 +48,7 @@ class Top3Table:
     prob: np.ndarray
 
 
-def _check_n(n) -> int:
+def check_n(n) -> int:
     """The top-3 n as an int: InvalidSpec, DegenerateInstance below 4, DomainError past the limit."""
     n = errors.integer("n", n, error=InvalidSpec)
     if n < 4:
@@ -64,12 +64,13 @@ def check_k(k, n: int) -> int:
 
 
 def _prob_blocks(n: int):
-    """Yield (lo, prob[lo..hi]) in ascending k, block by block from k = n-1 down to 1.
+    """Yield (lo, prob[lo..hi]) in ascending k, block by block from k = n-1 down to 0.
 
     The harmonic tail 3 (H_{n-1} - H_{k-1}) is one ``scan`` of 3/j from the
     top, carried from block to block, so every block is bit-identical to
     the same rows of a single whole-table sum.  The quadratic and the
-    factor k/n are applied in place.
+    factor k/n are applied in place.  The closed form holds from k = 1, so
+    the last block is prob[0] = 3/n alone.
     Each block is a view of one block-sized buffer that the next block
     overwrites: a caller copies or reduces it before asking for the next.
     """
@@ -90,6 +91,8 @@ def _prob_blocks(n: int):
         if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
             raise NonFinite(f"prob left [0, 1] for n={n}")
         yield lo, values
+    buf[0] = 3.0 / n
+    yield 0, buf[:1]
 
 
 def top3_table(n: int) -> Top3Table:
@@ -97,12 +100,11 @@ def top3_table(n: int) -> Top3Table:
 
     Copies the blocks of ``_prob_blocks``; holds the 8-byte-per-entry table
     and block-sized scratch.  Agrees with the sequential recurrence to
-    ~1e-14 for n <= 1e5.  Refuses, before allocating, the n ``_check_n`` refuses.
+    ~1e-14 for n <= 1e5.  Refuses, before allocating, the n ``check_n`` refuses.
     """
-    n = _check_n(n)
+    n = check_n(n)
     (prob,) = copy_blocks(_prob_blocks(n), n + 1)
     prob[n] = 0.0
-    prob[0] = 3.0 / n
     prob.flags.writeable = False
     return Top3Table(n=n, prob=prob)
 
@@ -113,6 +115,5 @@ def optimal_policy_top3(n: int) -> OptimalPolicy:
     Reduces the table's blocks as they are made, so it holds no n-sized
     array, and refuses the same n as ``top3_table``.
     """
-    n = _check_n(n)
-    pol = OptimalPolicy.first_max(_prob_blocks(n))
-    return pol if pol.value > 3.0 / n else OptimalPolicy(k_n=0, value=3.0 / n)
+    n = check_n(n)
+    return OptimalPolicy.first_max(_prob_blocks(n))

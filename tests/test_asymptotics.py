@@ -15,7 +15,15 @@ from secretarylab import (
     top3_limit_derivative,
     top3_table,
 )
-from secretarylab.asymptotics import _phi_terms, _psi_terms, _reappearance_limit, _upsilon_terms
+from secretarylab.asymptotics import (
+    P_MIN_LIMIT,
+    _gauss_jacobi,
+    _gauss_legendre,
+    _phi_terms,
+    _psi_terms,
+    _reappearance_limit,
+    _upsilon_terms,
+)
 from secretarylab.cli import TABLE1_ROWS
 from secretarylab.errors import DomainError, InvalidSpec
 
@@ -212,6 +220,22 @@ def test_rk4_tracks_closed_form_at_p1():
     window = np.flatnonzero((f.grid >= 0.05) & (f.grid <= 0.95))[::50]
     gap = max(abs(f.values[i] - value(float(f.grid[i]))) for i in window)
     assert gap <= 1e-4
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_79():
+    s, v = _gauss_legendre(40)
+    for j in range(80):
+        assert (s ** j) @ v == pytest.approx(1.0 / (j + 1), rel=1e-12)
+
+
+# at p = P_MIN_LIMIT, c = p/(1+p) is near 1e-6 and the rule loses digits: 5.9e-10
+@pytest.mark.parametrize("p,bound", [(0.001, 1e-12), (0.1, 1e-12), (0.5, 1e-12), (0.9, 1e-12),
+                                     (1.0, 1e-12), (P_MIN_LIMIT, 1e-9)])
+def test_gauss_jacobi_rule_is_exact_to_degree_31(p, bound):
+    c = p / (1.0 + p)
+    r, w = _gauss_jacobi(c, 16)
+    for j in range(32):  # the weight c r^(c-1) times r^j integrates to c/(c+j)
+        assert (r ** j) @ w == pytest.approx(c / (c + j), rel=bound)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])

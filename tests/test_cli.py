@@ -393,7 +393,7 @@ def test_simulate_rejects_seed_outside_philox_key(runner, seed):
         ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10",
          "--seed", seed],
     )
-    assert_rejected(result, "--seed", seed)
+    assert_rejected(result, "seed=", seed)
 
 
 def test_simulate_accepts_largest_seed(runner):
@@ -431,6 +431,10 @@ REAPPEARANCE_ASYMPTOTIC = ["asymptotic", "--model", "reappearance", "--p", "0.5"
                  ["k=10"], id="simulate-top3-k"),
     pytest.param(["simulate", "--model", "reappearance", "--n", "10", "--p", "1.5",
                   "--k", "3", "--trials", "10"], ["p=1.5"], id="simulate-p"),
+    pytest.param(["simulate", "--model", "reappearance", "--n", "100", "--k", "43",
+                  "--trials", "10"], ["--p"], id="simulate-p-missing"),
+    pytest.param(["simulate", "--model", "top3", "--n", "3", "--k", "0", "--trials", "10"],
+                 ["degenerate", "n=3"], id="simulate-top3-n-degenerate"),
     pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--epsilon", "0.3"], ["--epsilon"],
                  id="asymptotic-epsilon"),
     pytest.param(REAPPEARANCE_ASYMPTOTIC + ["--step", "0.5"], ["--step"],

@@ -28,6 +28,7 @@ from secretarylab import (
 from secretarylab import simulator
 from secretarylab.oracle import exact_reappearance, exact_top3
 from secretarylab.errors import (
+    DegenerateInstance,
     DomainError,
     IndexOutOfRange,
     InvalidCombination,
@@ -163,6 +164,8 @@ def test_policy_reappearance_range_checks():
             run_policy_top3(single, k)
     with pytest.raises(DomainError):
         run_policy_top3(single, 1.5)
+    with pytest.raises(DegenerateInstance):
+        run_policy_top3(ArrivalSequence.from_ranks((2, 1, 3)), 0)
 
 
 def test_policy_reappearance_p0_equals_classical_rule():
@@ -208,20 +211,20 @@ COMPOSITION_CASES = [
     (5, 0.0, 2, "best"),
     (6, 0.0, 2, "top3"),
     (9, 0.0, 0, "top3"),
-    (3, 0.0, 2, "top3"),
     (1, 0.5, 1, "best"),
     (200, 0.0, 74, "best"),
     (200, 0.5, 110, "best"),
     (200, 1.0, 94, "best"),
 ]
 # at p = 1 a block holds 3n uniforms and at p = 0 n, so n mod 4 in {1, 2, 3}
-# pads it to the Philox step grid by 1, 2 and 3 uniforms (3, 2 and 1 at p = 0)
+# pads it to the Philox step grid by 1, 2 and 3 uniforms (3, 2 and 1 at p = 0);
+# the top-3 objective takes n >= 4
 COMPOSITION_CASES += [
     case
     for n in (1, 2, 3, 5, 6, 7, 1001, 1002, 1003)
     for p, objective in ((0.0, "best"), (1.0, "best"), (0.0, "top3"))
     for case in [(n, p, n // 3 if objective == "top3" else max(1, n // 2), objective)]
-    if case not in COMPOSITION_CASES
+    if case not in COMPOSITION_CASES and not (objective == "top3" and n < 4)
 ]
 
 
@@ -717,6 +720,8 @@ def test_estimate_argument_errors():
         estimate(n=10, p=0.0, k=10, trials=10, seed=0, objective="top3")
     with pytest.raises(IndexOutOfRange):
         estimate(n=10, p=0.0, k=0, trials=10, seed=0, objective="best")
+    with pytest.raises(DegenerateInstance):  # top3.check_n, as in the top-3 solvers
+        estimate(n=3, p=0.0, k=0, trials=10, seed=0, objective="top3")
 
 
 def test_seed_independence_of_mean():
