@@ -470,17 +470,14 @@ def _classical_chunk_successes(block: np.ndarray, n: int, k: int, r: int) -> int
     At p = 0 candidate c arrives c-th, so the rank keys are the event keys.
     The rule takes the first event at position >= k that beats every
     earlier event.  Until it hires, the best key seen is the best of the
-    first k, so one comparison per event decides.  A hire is one of the
-    trial's keys or inf, so being at most the r-th smallest key means
-    ranking among the r best (below n = r, every hire does).
+    first k, so one comparison per event decides.  A hire ranks among the
+    r best exactly when fewer than r of the trial's keys lie below it; no
+    hire (inf) has all n below it, and fails as n >= r (n >= 4 for top 3).
     """
     x = block[:, :n]
     bar = x[:, :k].min(axis=1, initial=np.inf)
     hired = _hired_keys(x[:, k:], x[:, k:] < bar[:, None])
-    del bar  # before the partition copy: kept alive, it pinned the heap (peak RSS +3 MiB)
-    kth = min(r, x.shape[1]) - 1
-    rth = np.partition(x, kth, axis=1)[:, kth]
-    return int(np.count_nonzero(hired <= rth))
+    return int(np.count_nonzero(np.count_nonzero(x < hired[:, None], axis=1) < r))
 
 
 def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:

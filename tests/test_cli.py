@@ -498,16 +498,17 @@ def test_write_failure_to_stdout_is_a_message(args):
     assert (proc.returncode, proc.stderr) == (1, "Error: cannot write -: No space left on device\n")
 
 
-@pytest.mark.parametrize("args,limit", [
-    pytest.param(["reappearance-solve", "--p", "0.5"], errors.MAX_N_REAPPEARANCE, id="reappearance"),
-    pytest.param(["top3-solve"], errors.MAX_N_TOP3, id="top3"),
+@pytest.mark.parametrize("args,limit,refuser", [
+    pytest.param(["reappearance-solve", "--p", "0.5"], errors.MAX_N_REAPPEARANCE, "re-arrival solver",
+                 id="reappearance"),
+    pytest.param(["top3-solve"], errors.MAX_N_TOP3, "top-3 model", id="top3"),
 ])
-def test_solve_refusal_states_the_n_limit(runner, args, limit):
+def test_solve_refusal_states_the_n_limit(runner, args, limit, refuser):
     # the limits refuse the n that n * 96 (re-arrival) and n * 24 (top-3)
     # bytes past 2 GiB refused before the tables were built in blocks
     assert limit == (2 << 30) // (96 if args[0] == "reappearance-solve" else 24)
     result = runner.invoke(main, args + ["--n", str(limit + 1)])
-    assert_rejected(result, f"solver accepts n <= {limit}, got n={limit + 1}")
+    assert_rejected(result, f"{refuser} accepts n <= {limit}, got n={limit + 1}")
     assert "GiB" not in result.output
 
 
