@@ -68,8 +68,8 @@ class LimitCurve:
 
     def __post_init__(self):
         g, v = self.grid, self.values
-        if g.ndim != 1 or v.shape != g.shape:
-            raise InvalidSpec("grid and values must be 1-d arrays of equal length")
+        if g.ndim != 1 or v.shape != g.shape or not g.size:
+            raise InvalidSpec("grid and values must be non-empty 1-d arrays of equal length")
         if not (g[0] > 0.0 and g[-1] < 1.0 and (np.diff(g) > 0.0).all()):
             raise InvalidSpec("grid must be strictly increasing inside (0, 1)")
         if not np.isfinite(v).all():

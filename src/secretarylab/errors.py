@@ -77,8 +77,10 @@ def real(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainError)
 
 # Largest n the exact solvers accept, tables and optimal policies alike.
 # These n limits are kept from the 2 GiB ceiling that the tables' former 96
-# and 24 bytes per entry set; at them build_tables now holds about 34 and
-# top3_table about 9 bytes per entry, and the policies 4 and 1 MiB at any n.
+# and 24 bytes per entry set; at them build_tables now holds about 34 bytes
+# per entry and top3_table 8 plus 2 MiB of block scratch (tracemalloc peak
+# 10.1 B per entry at n = 1e6, 8.2 at 1e7), and the policies 4 and 0.01 MiB
+# at any n.
 MAX_N_REAPPEARANCE = 22_369_621
 MAX_N_TOP3 = 89_478_485
 

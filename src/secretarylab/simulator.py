@@ -178,7 +178,9 @@ class ArrivalSequence:
             ranks.setdefault(ev.candidate, ev.rank)
             if ranks[ev.candidate] != ev.rank:
                 raise InvalidSpec(f"candidate {ev.candidate} changed rank")
-        if len(ranks) != self.n or sorted(ranks.values()) != list(range(1, self.n + 1)):
+        if sorted(ranks) != list(range(1, self.n + 1)):
+            raise InvalidSpec(f"candidate ids are not 1..{self.n}")
+        if sorted(ranks.values()) != list(range(1, self.n + 1)):
             raise InvalidSpec("ranks are not a permutation of 1..n")
         if any(c > 2 for c in counts.values()):
             raise InvalidSpec("no candidate may appear more than twice")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from secretarylab import (
+    LimitCurve,
     ProblemSpec,
     integrate_limit_system,
     optimal_policy,
@@ -137,6 +138,11 @@ def test_parameter_validation():
     for p in ("0.5", True):
         with pytest.raises(InvalidSpec):
             integrate_limit_system(p)
+
+
+def test_limit_curve_refuses_an_empty_grid():
+    with pytest.raises(InvalidSpec, match="non-empty"):
+        LimitCurve(grid=np.empty(0), values=np.empty(0), label="f")
 
 
 def test_step_floor_refuses_before_allocating(monkeypatch):

@@ -1,11 +1,9 @@
 """Blockwise evaluation of the exact solvers: same tables at every block size, bounded memory."""
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from test_top3 import sequential_table
 
 from secretarylab import (
     OptimalPolicy,
@@ -14,7 +12,6 @@ from secretarylab import (
     errors,
     optimal_policy,
     optimal_policy_top3,
-    top3,
     top3_table,
 )
 
@@ -56,54 +53,6 @@ def test_top3_table_identical_across_block_sizes(monkeypatch, block):
     for n in ns:
         assert np.array_equal(top3_table(n).prob, whole[n]), n
         assert optimal_policy_top3(n) == argmax_policy(whole[n][:n], 0), n
-
-
-@pytest.mark.parametrize("segment", BLOCKS)
-def test_top3_segments_match_the_recurrence(monkeypatch, segment):
-    # at a segment of 1 every threshold starts from its closed-form anchor
-    monkeypatch.setattr(top3, "_SEGMENT", segment)
-    for n in sizes(segment, 4):
-        prob = top3_table(n).prob
-        assert np.abs(prob - sequential_table(n)).max() <= 1e-14, n
-        assert optimal_policy_top3(n) == argmax_policy(prob[:n], 0), n
-
-
-def edge_optimum(n):
-    """The first maximum over every segment, and the segment that holds it."""
-    pol = OptimalPolicy.first_max(top3._prob_blocks(n))
-    return pol, (n - 1 - pol.k_n) // top3._SEGMENT
-
-
-@pytest.mark.parametrize("n", [44279, 44280, 88558, 88559])
-def test_top3_optimum_on_a_segment_edge(n):
-    prob = top3_table(n).prob
-    pol, s = edge_optimum(n)
-    assert pol.k_n in top3._segment(n, s)
-    assert pol == argmax_policy(prob[:n], 0)
-    assert optimal_policy_top3(n) == pol
-
-
-def test_top3_optimum_beside_a_near_edge_maximum():
-    # the optimum is its segment's top; the segment above, which holds
-    # round(x* n), has its own first maximum one threshold off its bottom
-    # and 5e-16 lower, a rounding artefact that unimodality rules out
-    n = 59_998_566
-    pol, s = edge_optimum(n)
-    above = OptimalPolicy.first_max(top3._prob_blocks(n, (s - 1,)))
-    assert pol.k_n == top3._segment(n, s)[1]
-    assert above.k_n == top3._segment(n, s - 1)[0] + 1 and above.value < pol.value
-    assert optimal_policy_top3(n) == pol
-
-
-@pytest.mark.parametrize("n", [65537, 10**6])
-def test_top3_anchors_match_an_fsum_tail(n):
-    prob = top3_table(n).prob
-    last = top3._last_segment(n)
-    for s in (1, last // 2, last - 1):
-        k = top3._segment(n, s)[1]
-        tail = 3.0 * math.fsum(1.0 / j for j in range(k, n))
-        ref = k / n * (tail + (n - k) * (k - 5 * n + 9) / (2 * (n - 1) * (n - 2)))
-        assert abs(prob[k] - ref) <= 1e-14, (n, k)
 
 
 def test_ties_go_to_the_smallest_threshold_across_blocks(monkeypatch):

@@ -108,6 +108,15 @@ def test_sequence_validation():
     ArrivalSequence.from_ranks((2, 1, 3))
 
 
+@pytest.mark.parametrize("ids", [(1, 7, 2), (0, 1, 2)], ids=["above-n", "zero"])
+def test_sequence_candidate_ids_are_1_to_n(ids):
+    # run_policy_reappearance reads candidate c's coin at coins[c - 1]: id 0
+    # would take the last coin and id 7 would index past n = 3
+    events = tuple(ArrivalEvent(c, r, 1) for c, r in zip(ids, (2, 1, 3)))
+    with pytest.raises(InvalidSpec):
+        ArrivalSequence(events=events, n=3)
+
+
 def test_policy_top3_rejects_mixed_sequences():
     seq = generate_sequence(5, 1.0, rng(4))
     with pytest.raises(MixedSequence):
