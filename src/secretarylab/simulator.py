@@ -50,10 +50,10 @@ trials are independent, so any execution order gives the same report.
 
 Chunks run on a thread pool, one worker per CPU the process may use.  Each
 chunk opens its own generator at its first trial's counter, draws its
-trials' blocks in one call and returns its success count, and the report
-adds the counts, so it does not depend on the number of threads or the
-order in which chunks finish.  The pool is started by the first call that
-needs it and kept for later calls.
+trials' blocks in one call into its lane's buffer and returns its success
+count, and the report adds the counts, so it does not depend on the number
+of threads or the order in which chunks finish.  The pool is started by the
+first call that needs it and kept for later calls.
 
 Vectorised kernel
 -----------------
@@ -61,22 +61,27 @@ Vectorised kernel
 turns rank keys into ranks: both policies only compare ranks, so a hire is
 the best candidate when its key is the trial's smallest, and a top-3 hire
 when it is at most the third smallest.  At p = 0 the rank keys are in
-arrival order, so nothing is sorted.  At p > 0 one value sort of the n
-arrival keys orders the candidates, and the policy is evaluated per candidate:
-until it stops, its leader is the best candidate seen, so it can hire only
-records (keys equal to their prefix minimum).  Record j is hired on its
-return iff a_(k-1) <= b_j < the next record's arrival (1 if none comes),
-and on arrival iff j >= k and its coin is below 1 - p.  These windows are
-disjoint and ordered in time, so a trial succeeds iff the last record, the
+arrival order, so nothing is sorted.  At p > 0 the policy can hire only
+records (keys equal to their prefix minimum), since until it stops its
+leader is the best candidate seen.  Two row passes, one value sort of the
+n arrival keys and the prefix minimum of the rank keys, list each trial's
+records in arrival order; a trial holds H_n of them on average (Renyi
+1962: 2.08 at n = 4, 7.49 at n = 1000), and the kernel reads the records
+alone, in flat arrays.  Record j is hired on its return iff
+a_(k-1) <= b_j < the next record's arrival (1 if none comes), and on
+arrival iff j >= k and its coin is below 1 - p.  These windows are
+disjoint and ordered in time, so a trial succeeds iff its last record, the
 best candidate, is the only record hired.  Trials are drawn in chunks, at
 least one trial per chunk, and the kernel reads each chunk as views of its
 ranges.
 
 Ties: two candidates with equal 53-bit rank keys (probability at most
 n^2 2^-54 per trial) may be ranked differently by the kernel and by the
-per-trial functions.  At p > 0 a return can also tie with an arrival, or
-two arrivals tie (equal G-images); both paths put arrivals before returns
-and arrivals in candidate order, so those ties decide alike.
+per-trial functions; when two keys tie for a trial's smallest, both are
+records and the kernel counts the later one as the best.  At p > 0 a
+return can also tie with an arrival, or two arrivals tie (equal
+G-images); both paths put arrivals before returns and arrivals in
+candidate order, so those ties decide alike.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ _PHILOX_KEYS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
 # Uniforms of all chunks of a call in flight (2.7 MiB): each of the t threads
 # runs chunks of at most 1/t of it, counting the _block_width(n, p) uniforms
 # each trial draws.  The budget covers the blocks only; the kernel's arrays
-# add at most as much again.  All chunks in flight peak together at 5.0-6.3
+# add at most as much again.  All chunks in flight peak together at 2.8-4.8
 # MiB at n = 4 and 100, p = 0.5, at n = 1000, p = 1 and for top-3 at n = 1000
 # and 10000, on one thread and on two alike (tracemalloc).  At 2**21 / 6, two
 # threads run top-3 chunks of 174 trials at n = 1000 and 17 at n = 10000, the
@@ -118,9 +123,11 @@ _PHILOX_KEYS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
 # own, and lone trials on t threads may hold up to 4 (3 at p = 1) times the
 # budget; past n = 174762, half the budget, a trial runs alone on one thread.
 _CHUNK_DOUBLES = (1 << 21) // 6
-# Peak bytes per candidate of a lone trial (tracemalloc, n = 1e6: 66 at
-# 0 < p < 1, 58 at p = 1, 16 at p = 0); an n at which a trial passes 2 GiB is
-# refused before anything is drawn.
+# Bytes per candidate a trial is sized at; an n at which a trial passes
+# 2 GiB is refused before anything is drawn.  A lone trial peaked at 67 at
+# 0 < p < 1 (58 at p = 1) when every cell was scored; reading the records
+# alone it peaks at 42 (33 at p = 1, 9 at p = 0; tracemalloc, n = 1e6).  The
+# bound is kept, as it sets which n are refused and the figures they print.
 _TRIAL_BYTES_PER_CANDIDATE = 67
 # One worker per CPU this process may run on.  numpy releases the GIL in the
 # Philox fill, the sorts, take, partition and ufunc loops, so chunks on
@@ -135,7 +142,7 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # from one run to the next (2-vCPU VM).  With the same workers every call
 # it read 65.2-67.2 MiB over 8 runs.  The cost: a kept worker's arena may
 # hand a finished chunk's pages back and fault them in again for the next
-# one, which made mc-small-n passes about 0.07 s slower.
+# one, so each lane draws all its chunks into one buffer (see _run_chunks).
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -355,13 +362,13 @@ def estimate(
 
     width = _block_width(n, p)
 
-    def chunk_successes(first: int, rows: int) -> int:
-        block = trial_stream(seed, first, n, p).random((rows, width))
+    def chunk_successes(first: int, block: np.ndarray) -> int:
+        trial_stream(seed, first, n, p).random(out=block)
         if p == 0.0:  # both objectives: no candidate returns and every coin is < 1 - p
             return _classical_chunk_successes(block, n, k, 3 if objective == "top3" else 1)
         return _best_chunk_successes(block, n, p, k)
 
-    successes = _run_chunks(chunk_successes, trials, *_schedule(trials, n, width))
+    successes = _run_chunks(chunk_successes, trials, width, *_schedule(trials, n, width))
     est = successes / trials
     se = float(np.sqrt(est * (1.0 - est) / trials))
     return SimulationReport(
@@ -400,23 +407,27 @@ def _chunks(trials: int, chunks: int, start: int, step: int):
         yield i * size + min(i, extra), size + (i < extra)
 
 
-def _run_chunks(run, trials: int, threads: int, chunks: int) -> int:
-    """Sum of ``run(first, rows)`` over the chunks, on ``threads`` pool workers.
+def _run_chunks(run, trials: int, width: int, threads: int, chunks: int) -> int:
+    """Sum of ``run(first, block)`` over the chunks, on ``threads`` pool workers.
 
-    Worker j runs chunks j, j + threads, ... one after another, so at most
-    ``threads`` chunks are in flight; a lone lane runs in the caller's thread,
-    several on pool workers while the caller waits.  After an error or interrupt
-    no further chunk starts, and the call returns once the running ones end.
+    ``block`` is the chunk's (rows, width) view of its lane's buffer, for
+    ``run`` to fill.  Worker j runs chunks j, j + threads, ... one after
+    another, so at most ``threads`` chunks are in flight; a lone lane runs in
+    the caller's thread, several on pool workers while the caller waits.
+    After an error or interrupt no further chunk starts, and the call returns
+    once the running ones end.
     """
     stop = threading.Event()
 
     def lane(j: int) -> int:
-        successes = 0
+        successes, buf = 0, None
         try:
             for first, rows in _chunks(trials, chunks, j, threads):
                 if stop.is_set():
                     break
-                successes += run(first, rows)
+                if buf is None:  # a lane's first chunk is its largest
+                    buf = np.empty((rows, width))
+                successes += run(first, buf[:rows])
         except BaseException:
             stop.set()
             raise
@@ -488,23 +499,38 @@ def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
     Record j (a key equal to its prefix minimum) is hired iff it returns in
     the selection phase before the next record arrives, or arrives in it and
     its coin accepts; the trial succeeds iff only the last record is hired.
+    After the two row passes (the sort and the prefix minimum) the kernel
+    reads the records alone, about H_n a trial, listed row by row in
+    arrival order in flat arrays.
     """
     x = block[:, :n]
+    rec = np.flatnonzero(x == np.minimum.accumulate(x, axis=1))  # position 0 is in every row
+    row = rec // n
+    last = np.empty(rec.size, dtype=bool)  # each row's last record, its best candidate
+    np.not_equal(row[1:], row[:-1], out=last[:-1])
+    last[-1] = True
     u = np.sort(block[:, n:2 * n], axis=1)
-    g = _returns(u, block[:, 2 * n:3 * n], p)
-    leader = np.minimum.accumulate(x, axis=1)
-    record = x == leader
-    best = x == leader[:, -1:]
-    del leader
-    # G(a) of the next record's arrival after each candidate, 1 where none comes
-    na = np.empty_like(u)
-    na[:, -1] = 1.0
-    np.minimum.accumulate(np.where(record[:, :0:-1], u[:, :0:-1], 1.0), axis=1, out=na[:, -2::-1])
+    at = u.take(rec)  # G(a) of each record
     # a return is in the selection phase iff it is at or after a_(k-1), as any at j >= k is
-    hired = g >= u[:, k - 1:k]
-    hired &= g < na
-    del na
+    bar = u[:, k - 1].take(row)
+    del u
+    late = rec - row * n >= k  # arrives in the selection phase
+    # flat offset of each record's return key; the block's width may be padded past 3n or 4n
+    key = rec
+    key += row * (block.shape[1] - n)
+    key += 2 * n
+    flat = block.reshape(-1)
+    g = _returns(at, flat.take(key), p)
+    hired = g >= bar
+    at[:-1] = at[1:]  # G(a) of the row's next record, 1 at its last
+    at[last] = 1.0
+    hired &= g < at
     if p < 1.0:  # at p = 1 no coin is below 1 - p
-        hired[:, k:] |= block[:, 3 * n + k:4 * n] < 1.0 - p
-    hired &= record
-    return int(np.count_nonzero((hired == best).all(axis=1)))
+        key += n
+        coin = flat.take(key) < 1.0 - p
+        coin &= late
+        hired |= coin
+    # a trial fails iff one of its records has hired != last
+    hired ^= last
+    wrong = row[hired]  # the rows of those records, in order
+    return block.shape[0] - (wrong.size > 0) - int(np.count_nonzero(wrong[1:] != wrong[:-1]))

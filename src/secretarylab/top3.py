@@ -98,35 +98,54 @@ _WINDOW = 8
 _X_STAR = optimal_x_top3().x_star
 
 
-def _series(m):
+def _series(m, v=None, u=None):
     """e(m) = 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6), the Euler-Maclaurin terms of H_m - ln(m) - gamma.
 
-    Horner's rule in v = 1/m, each step on the previous step's result, so
-    that numpy reuses one temporary for a block-sized m.
+    Horner's rule in v = 1/m.  Given arrays ``v`` and ``u`` of an array m's
+    shape, they take 1/m and 1/m^2 and e(m) is written over m; without them
+    a number m gives a Python float, as numpy's ufuncs would take about a
+    microsecond a step on it.
     """
-    v = 1.0 / m
-    u = v * v
-    return (((u * (-1 / 252) + 1 / 120) * u - 1 / 12) * v + 0.5) * v
+    if v is None:
+        v = 1.0 / m
+        u = v * v
+        e = u * (-1 / 252)
+    else:
+        np.divide(1.0, m, out=v)
+        np.multiply(v, v, out=u)
+        e = np.multiply(u, -1 / 252, out=m)
+    e += 1 / 120
+    e *= u
+    e -= 1 / 12
+    e *= v
+    e += 0.5
+    e *= v
+    return e
 
 
-def _harmonic_gap(a: int, b: np.ndarray) -> np.ndarray:
-    """H_a - H_b for an integer a and ascending integer-valued floats 0 <= b <= a, in closed form.
+def _harmonic_gap(a: int, b: np.ndarray, out: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """H_a - H_b for an integer a and ascending integer-valued floats 0 <= b <= a, in closed form, into ``out``.
 
     From b = 64 on, H_a - H_b = ln(a/b) + e(a) - e(b); the next term is
     below 1/(240 b^8) < 2e-17.  Below it, H_a - H_b = (H_64 - H_b) + (H_a - H_64),
     the first term from ``_TAILS`` and the second from the series at a >= 64
-    or from ``_TAILS`` at a < 64.
+    or from ``_TAILS`` at a < 64.  ``v`` and ``u`` are scratch of b's shape,
+    and the entries of b from 64 on are overwritten.
     """
-    cut = int(np.searchsorted(b, _SERIES_MIN))
-    big = b[cut:]
-    gap = np.empty_like(b)
-    np.log1p((a - big) / big, out=gap[cut:])
-    gap[cut:] -= _series(big) - _series(a)
+    # a searchsorted call takes about a microsecond, and most b lie past 64
+    cut = int(np.searchsorted(b, _SERIES_MIN)) if b[0] < _SERIES_MIN else 0
+    big, gap = b[cut:], out[cut:]
+    np.subtract(a, big, out=gap)
+    gap /= big
+    np.log1p(gap, out=gap)
+    e = _series(big, v[cut:], u[cut:])
+    e -= _series(a)
+    gap -= e
     if cut:
         head = (math.log1p((a - _SERIES_MIN) / _SERIES_MIN) + (_series(a) - _series(_SERIES_MIN))
                 if a >= _SERIES_MIN else -_TAILS[a])
-        gap[:cut] = _TAILS[b[:cut].astype(np.intp)] + head
-    return gap
+        out[:cut] = _TAILS[b[:cut].astype(np.intp)] + head
+    return out
 
 
 def _prob_blocks(n: int, lo: int = 0, hi: int | None = None):
@@ -137,23 +156,40 @@ def _prob_blocks(n: int, lo: int = 0, hi: int | None = None):
     threshold is evaluated on its own, so the values do not depend on
     ``errors.BLOCK`` or on the range asked for.  The closed form holds from
     k = 1; at k = 0 its factor k/n vanishes, and prob[0] = 3/n is written in.
+    Every block is written into one scratch, so a block's values are
+    overwritten by the next.
     """
     hi = n - 1 if hi is None else hi
+    # one scratch for every block, sized by the range so that a short one
+    # stays small: block-sized arrays made afresh for each block were mapped
+    # and faulted in again each time.  ks holds the top block's thresholds
+    # and moves down a block at a time (exactly, as integers below 2**53).
+    size = min(hi + 1 - lo, errors.BLOCK)
+    ks = np.arange(hi + 1 - size, hi + 1, dtype=np.float64)
+    scratch = np.empty((4, size))
+    rows = (ks, scratch[0], scratch[1], scratch[2], scratch[3])  # iterating takes twice as long
     for top in range(hi, lo - 1, -errors.BLOCK):
-        k = np.arange(max(top - errors.BLOCK + 1, lo), top + 1, dtype=np.float64)
-        values = _harmonic_gap(n - 1, np.maximum(k - 1.0, 0.0))
+        if top < hi:
+            ks -= errors.BLOCK
+        k0 = max(top + 1 - errors.BLOCK, lo)
+        below = k0 - (top + 1 - size)  # thresholds under lo, on the last block alone
+        k, values, b, s, t = (row[below:] for row in rows) if below else rows
+        np.subtract(k, 1.0, out=b)
+        if k0 == 0:
+            b[0] = 0.0
+        _harmonic_gap(n - 1, b, values, s, t)
         values *= 3.0
-        poly = np.subtract(n, k)
-        poly *= k + (9 - 5 * n)
+        poly = np.subtract(n, k, out=s)
+        poly *= np.add(k, 9 - 5 * n, out=t)
         poly /= 2 * (n - 1) * (n - 2)
         values += poly
         values *= k
         values /= n
-        if k[0] == 0.0:
+        if k0 == 0:
             values[0] = 3.0 / n
         if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
             raise NonFinite(f"prob left [0, 1] for n={n}")
-        yield int(k[0]), values
+        yield k0, values
 
 
 def top3_table(n: int) -> Top3Table:

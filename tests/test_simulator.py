@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, permutations, product
 from math import factorial
@@ -410,6 +411,26 @@ def test_threaded_calls_share_the_pool_workers(monkeypatch):
     assert threading.current_thread() not in workers
 
 
+def test_each_lane_draws_its_chunks_into_one_buffer(monkeypatch):
+    # a kept worker's arena could hand a freed block's pages back and fault
+    # them in again for the next chunk, so a lane keeps one buffer per call
+    n, width = 30, simulator._block_width(30, 0.4)
+    expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 200 * width)  # 100 trials per chunk
+    kernel = simulator._best_chunk_successes
+    bases = []
+
+    def recording(block, n, p, k):
+        bases.append(block.base)
+        return kernel(block, n, p, k)
+
+    monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
+    assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+    assert all(isinstance(base, np.ndarray) for base in bases)
+    assert sorted(Counter(map(id, bases)).values()) == [10, 10]  # 20 chunks on two lanes
+
+
 def test_chunk_error_stops_every_lane_and_keeps_the_pool(monkeypatch):
     # the third kernel call raises once the other lane has begun its next
     # chunk, which is held until the raising lane has ended; then no lane
@@ -487,9 +508,9 @@ def test_uniforms_in_flight_stay_within_budget(monkeypatch, n, p, objective):
     doubles = {"in_flight": 0, "peak": 0}
 
     class DrawingGenerator(np.random.Generator):
-        def random(self, shape):
+        def random(self, *args, **kwargs):
             # a chunk is in flight from its drawn uniforms until its kernel returns
-            block = super().random(shape)
+            block = super().random(*args, **kwargs)
             with lock:
                 doubles["in_flight"] += block.shape[0] * width
                 doubles["peak"] = max(doubles["peak"], doubles["in_flight"])
@@ -641,8 +662,9 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
 
     class CountingGenerator(np.random.Generator):
         def random(self, *args, **kwargs):
-            calls.append(args)
-            return super().random(*args, **kwargs)
+            block = super().random(*args, **kwargs)
+            calls.append(block.shape)
+            return block
 
     width = simulator._block_width(n, p)
     assert width == -(-{0.0: 1, 1.0: 3}.get(p, 4) * n // 4) * 4
@@ -651,7 +673,7 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 trials per thread
     estimate(n=n, p=p, k=1, trials=10, seed=3, objective=objective)
     # 5 chunks of 2 rounded up to 6 and balanced, in any order
-    assert sorted(calls) == [((1, width),)] * 2 + [((2, width),)] * 4
+    assert sorted(calls) == [(1, width)] * 2 + [(2, width)] * 4
 
 
 @pytest.mark.parametrize("n", [4, 1001])
@@ -665,8 +687,9 @@ def test_p0_chunks_draw_rank_keys_alone_and_never_sort(monkeypatch, n, objective
 
     class CountingGenerator(np.random.Generator):
         def random(self, *args, **kwargs):
-            shapes.append(args[0])
-            return super().random(*args, **kwargs)
+            block = super().random(*args, **kwargs)
+            shapes.append(block.shape)
+            return block
 
     def refuse(*args, **kwargs):
         raise AssertionError("sorted at p = 0")
@@ -883,3 +906,44 @@ def test_positive_p_chunks_never_argsort_or_gather(monkeypatch, p):
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 50 * simulator._block_width(n, p))  # 20 chunks
     assert estimate(n=n, p=p, k=k, trials=trials, seed=seed).successes == expected
+
+
+def dense_best_chunk_successes(block, n, p, k):
+    """Reference for simulator._best_chunk_successes: every hire window on every (trial, candidate) cell.
+
+    The same rule read densely: a candidate is hired iff it is a record and
+    returns in the selection phase before the next record arrives, or
+    arrives in it at j >= k and its coin accepts; the trial succeeds iff the
+    hired candidates are exactly its best.
+    """
+    x = block[:, :n]
+    u = np.sort(block[:, n:2 * n], axis=1)
+    g = simulator._returns(u, block[:, 2 * n:3 * n], p)
+    leader = np.minimum.accumulate(x, axis=1)
+    record = x == leader
+    best = x == leader[:, -1:]
+    # G(a) of the next record's arrival after each candidate, 1 where none comes
+    na = np.empty_like(u)
+    na[:, -1] = 1.0
+    np.minimum.accumulate(np.where(record[:, :0:-1], u[:, :0:-1], 1.0), axis=1, out=na[:, -2::-1])
+    hired = (g >= u[:, k - 1:k]) & (g < na)
+    if p < 1.0:
+        hired[:, k:] |= block[:, 3 * n + k:4 * n] < 1.0 - p
+    hired &= record
+    return int(np.count_nonzero((hired == best).all(axis=1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 30, 100, 101, 1000])
+def test_record_kernel_matches_dense_reference(n):
+    # the kernel reads only the records, in flat arrays; at p = 1 the block is
+    # padded past 3n for n not a multiple of 4, and single rows and k = n are
+    # the edges of its row bookkeeping
+    draws = 0
+    for p in (5e-324, 1e-9, 0.001, 0.25, 0.5, 0.999, 1 - 2**-53, 1.0):
+        width = simulator._block_width(n, p)
+        for k in sorted({1, max(1, n // 2), n}):
+            for rows in (1, 2, 7, max(1, 4000 // n)):
+                block = rng(draws).random((rows, width))
+                draws += 1
+                expected = dense_best_chunk_successes(block, n, p, k)
+                assert simulator._best_chunk_successes(block, n, p, k) == expected, (p, k, rows)
