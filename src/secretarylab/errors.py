@@ -76,11 +76,14 @@ def real(name: str, value, lo=-math.inf, hi=math.inf, error: type = DomainError)
 
 
 # Largest n the exact solvers accept, tables and optimal policies alike.
-# These n limits are kept from the 2 GiB ceiling that the tables' former 96
-# and 24 bytes per entry set; at them build_tables now holds about 34 bytes
-# per entry and top3_table 8 plus 2 MiB of block scratch (tracemalloc peak
-# 10.1 B per entry at n = 1e6, 8.2 at 1e7), and the policies 4 and 0.01 MiB
-# at any n.
+# They bound the tables' memory: build_tables holds about 34 bytes per entry
+# (0.76 GB at its limit) and top3_table 8 plus 2 MiB of block scratch
+# (tracemalloc peak 10.1 B per entry at n = 1e6, 8.2 at 1e7; 0.73 GB at its
+# limit), while the policies hold 4 and 0.01 MiB at any n.  The top-3 limit
+# also stops where float resolution runs out: next to the optimum,
+# neighbouring thresholds differ by about 6 / n^2, near the 6e-16 error of
+# each value at n = 9e7 (see the top3 module docstring).  The values are those
+# of the former 2 GiB ceiling at 96 and 24 bytes per entry.
 MAX_N_REAPPEARANCE = 22_369_621
 MAX_N_TOP3 = 89_478_485
 

@@ -11,13 +11,14 @@ candidate's first time then has CDF G(a) = (1+p)a - pa^2, and given it is
 a, the candidate returns with probability 2p(1-a)/G'(a), at a time uniform
 on (a, 1).  At p = 0 no candidate returns and candidate c arrives c-th.
 
-Reproducibility contract (stream layout 4)
+Reproducibility contract (stream layout 5)
 ------------------------------------------
-All randomness comes from a Philox counter-based generator keyed by the
-seed.  Each trial owns a block of the uniforms that can decide its
-outcome, padded up to a whole number of Philox counter steps (4 outputs
-each); trial ``i``'s block starts at counter ``i * _block_width(n, p) / 4``.
-At 0 < p < 1 a block holds 4n uniforms; candidates j = 0..n-1 in arrival order:
+All randomness comes from one PCG64DXSM stream per seed (O'Neill 2014),
+seeded through numpy's SeedSequence.  Each trial owns a block of the
+uniforms that can decide its outcome, one 64-bit output per uniform, and
+trial ``i``'s block starts ``i * _block_width(n, p)`` outputs into the
+stream, reached by ``advance``.  At 0 < p < 1 a block holds 4n uniforms;
+candidates j = 0..n-1 in arrival order:
 
     [0,   n)   rank keys: candidate j's rank is the position of key j in
                ascending order, plus one
@@ -39,17 +40,23 @@ G(b_j) = u_(j) + v_j (2 - v_j) ((1+p)^2/(4p) - u_(j)) and computes no time.
 
 At p = 1 the coins decide nothing (no fresh leader is accepted), so a block
 holds 3n uniforms, the first three ranges.  At p = 0 only the rank keys
-decide, so a block holds those n alone.  Layout 1 drew a 6n block at every
-p (rank keys, flags, two shuffle keys per candidate ordered by an argsort,
-coins by event position), layout 2 a 3n block at p in {0, 1}, and layout 3
-the n block at p = 0; reports at p = 0 are the same under layouts 3 and 4.
+decide, so a block holds those n alone.
+
+Layouts 1-4 drew from a Philox counter-based generator keyed by the seed,
+each block padded to whole counter steps of 4 outputs.  Layout 1 drew a 6n
+block at every p (rank keys, flags, two shuffle keys per candidate ordered
+by an argsort, coins by event position), layout 2 a 3n block at p in
+{0, 1}, layout 3 the n block at p = 0, and layout 4 the ranges above;
+reports at p = 0 are the same under layouts 3 and 4.  Layout 5 keeps the
+ranges of layout 4 and changes only the generator, so its reports differ
+from theirs at every p.
 
 With the layout fixed, a chunked vectorised run and a per-trial run on
 ``trial_stream(seed, i, n, p)`` produce identical outcomes bit for bit;
 trials are independent, so any execution order gives the same report.
 
 Chunks run on a thread pool, one worker per CPU the process may use.  Each
-chunk opens its own generator at its first trial's counter, draws its
+chunk opens its own generator at its first trial's block, draws its
 trials' blocks in one call into its lane's buffer and returns its success
 count, and the report adds the counts, so it does not depend on the number
 of threads or the order in which chunks finish.  The pool is started by the
@@ -109,8 +116,8 @@ __all__ = [
     "trial_stream",
 ]
 
-STREAM_LAYOUT = 4  # see the module docstring
-_PHILOX_KEYS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
+STREAM_LAYOUT = 5  # see the module docstring
+_SEEDS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
 # Uniforms of all chunks of a call in flight (2.7 MiB): each of the t threads
 # runs chunks of at most 1/t of it, counting the _block_width(n, p) uniforms
 # each trial draws.  The budget covers the blocks only; the kernel's arrays
@@ -130,7 +137,7 @@ _CHUNK_DOUBLES = (1 << 21) // 6
 # bound is kept, as it sets which n are refused and the figures they print.
 _TRIAL_BYTES_PER_CANDIDATE = 67
 # One worker per CPU this process may run on.  numpy releases the GIL in the
-# Philox fill, the sorts, take, partition and ufunc loops, so chunks on
+# generator's fill, the sorts, take, partition and ufunc loops, so chunks on
 # different threads overlap.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -148,12 +155,8 @@ _pool_lock = threading.Lock()
 
 
 def _block_width(n: int, p: float) -> int:
-    """Uniforms in a trial's block, padded to whole Philox counter steps.
-
-    4n at 0 < p < 1, 3n at p = 1 and n at p = 0 (see the module docstring).
-    """
-    draws = (1 if p == 0.0 else 3 if p == 1.0 else 4) * n
-    return -(-draws // 4) * 4
+    """Uniforms in a trial's block: 4n at 0 < p < 1, 3n at p = 1 and n at p = 0 (see the module docstring)."""
+    return (1 if p == 0.0 else 3 if p == 1.0 else 4) * n
 
 
 @dataclass(frozen=True)
@@ -221,16 +224,17 @@ class SimulationReport:
 
 
 def trial_stream(seed: int, index: int, n: int, p: float) -> np.random.Generator:
-    """The per-trial generator: Philox(seed) at the block of trial ``index``, an integer >= 0.
+    """The per-trial generator: PCG64DXSM(seed) advanced to the block of trial ``index``, an integer >= 0.
 
-    The whole block must fit in Philox's 256-bit counter, or its tail would
-    wrap onto trial 0's uniforms, so ``index`` is at most
-    2**256 // (block width / 4) - 1; past that it raises DomainError.
+    The whole block must fit in the stream's period of 2**128 outputs, or
+    its tail would wrap onto trial 0's uniforms (``advance`` wraps without
+    a word), so ``index`` is at most 2**128 // (block width) - 1; past that
+    it raises DomainError.
     """
-    seed = errors.integer("seed", seed, *_PHILOX_KEYS)
-    step = _block_width(ProblemSpec(n, p).n, p) // 4  # counter steps per trial
-    counter = errors.integer("index", index, 0, 2**256 // step - 1) * step
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    seed = errors.integer("seed", seed, *_SEEDS)
+    width = _block_width(ProblemSpec(n, p).n, p)
+    index = errors.integer("index", index, 0, 2**128 // width - 1)
+    return np.random.Generator(np.random.PCG64DXSM(seed).advance(index * width))
 
 
 def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequence:
@@ -344,13 +348,13 @@ def estimate(
     Bit-for-bit reproducible for fixed arguments (see module docstring).
     Before drawing anything, checks each argument with the function that
     owns it (the README's table of errors): n with ``ProblemSpec``, or with
-    ``top3.check_n`` for "top3"; the seed as a Philox key, 0 to 2**128 - 1;
+    ``top3.check_n`` for "top3"; the seed, 0 to 2**128 - 1;
     and that one trial holds at most 2 GiB (DomainError).
     """
     spec = ProblemSpec(top3.check_n(n) if objective == "top3" else n, p)
     n, p = spec.n, spec.p
     trials = errors.integer("trials", trials, 1)
-    seed = errors.integer("seed", seed, *_PHILOX_KEYS)
+    seed = errors.integer("seed", seed, *_SEEDS)
     if objective not in ("best", "top3"):
         raise InvalidCombination(f"unknown objective {objective!r}")
     if objective == "top3" and p != 0.0:
@@ -515,7 +519,7 @@ def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
     bar = u[:, k - 1].take(row)
     del u
     late = rec - row * n >= k  # arrives in the selection phase
-    # flat offset of each record's return key; the block's width may be padded past 3n or 4n
+    # flat offset of each record's return key, in rows of 3n or 4n uniforms
     key = rec
     key += row * (block.shape[1] - n)
     key += 2 * n

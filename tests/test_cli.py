@@ -250,7 +250,7 @@ def test_simulate_classical(runner):
     est = rec["result"]["estimate"]
     se = rec["result"]["std_error"]
     assert abs(est - 0.371) <= 3 * se + 5e-4
-    assert rec["provenance"]["stream_layout"] == 4
+    assert rec["provenance"]["stream_layout"] == 5
 
 
 def test_simulate_top3_published_run(runner):
@@ -387,7 +387,7 @@ def test_printed_tolerance():
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-def test_simulate_rejects_seed_outside_philox_key(runner, seed):
+def test_simulate_rejects_seed_outside_its_range(runner, seed):
     result = runner.invoke(
         main,
         ["simulate", "--model", "top3", "--n", "20", "--k", "5", "--trials", "10",
@@ -532,3 +532,14 @@ def test_arithmetic_failure_exits_1(runner, monkeypatch):
     assert result.exit_code == 1
     assert "Error: prob left [0, 1] for n=10" in result.output
     assert "Traceback" not in result.output
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # importing numpy.random takes about 19 ms, a tenth of a benchmark's
+    # set-up; the simulator reaches it only when it draws
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, secretarylab, secretarylab.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -95,7 +95,20 @@ def test_entry_point_refuses_malformed_quantity(monkeypatch, call, arguments, er
     def refuse(*args, **kwargs):
         raise AssertionError("drew or allocated before refusing")
 
-    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(np.random, "PCG64DXSM", refuse)
     monkeypatch.setattr(np, "empty", refuse)
     with pytest.raises(error):
         call(**arguments)
+
+
+def test_refused_draw_trips_on_valid_arguments(monkeypatch):
+    # the refusal tests here and in test_simulator.py patch the bit generator;
+    # a valid call must reach it, or they would pass without guarding anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(np.random, "PCG64DXSM", refuse)
+    for entry, call, valid, _ in ENTRY_POINTS:
+        if entry in ("estimate", "estimate-top3", "trial_stream"):
+            with pytest.raises(AssertionError, match="drew uniforms"):
+                call(**valid)

@@ -226,9 +226,8 @@ COMPOSITION_CASES = [
     (200, 0.5, 110, "best"),
     (200, 1.0, 94, "best"),
 ]
-# at p = 1 a block holds 3n uniforms and at p = 0 n, so n mod 4 in {1, 2, 3}
-# pads it to the Philox step grid by 1, 2 and 3 uniforms (3, 2 and 1 at p = 0);
-# the top-3 objective takes n >= 4
+# the smallest n, and n of every residue mod 4, at p in {0, 1} and for top-3,
+# which takes n >= 4
 COMPOSITION_CASES += [
     case
     for n in (1, 2, 3, 5, 6, 7, 1001, 1002, 1003)
@@ -252,84 +251,90 @@ def test_estimate_matches_per_trial_composition(monkeypatch, n, p, k, objective)
 
 
 # successes of fixed runs, kept as literals; (n, p, k, trials, seed,
-# objective, successes under stream layout 1, under layout 2, under layout 3,
-# under layout 4).  A row's test id is its inputs and its layout-1 count, the
-# count it was first pinned with.  The rows at 0 < p < 1 were reported by the
-# kernel that ranked candidates and scanned events one position at a time;
-# layouts 2 and 3 kept their blocks, so their first three counts are one.  At
-# p = 1 the layout-2 counts were re-pinned from per_trial_successes and layout
-# 3 kept them; at p = 0 the layout-3 counts were, and layout 4 kept them.  At
-# p > 0 the layout-4 counts were re-pinned from estimate() and equal
-# per_trial_successes.  Every re-pinned count lies within 4 sigma of its exact
-# value, or of the layout-3 count where none is known (see
-# test_pinned_counts_lie_near_their_references).  No kernel reads the
-# shuffle keys of layouts 1-3, so their counts are kept as history only.  At
-# n = 1001-1003 the n and 3n blocks end off the Philox step grid.
+# objective, successes under stream layouts 1, 2, 3 and 4, and under layout
+# 5).  A row's test id is its inputs and its layout-1 count, the count it was
+# first pinned with.  The rows at 0 < p < 1 were reported by the kernel that
+# ranked candidates and scanned events one position at a time; layouts 2 and
+# 3 kept their blocks, so their first three counts are one.  At p = 1 the
+# layout-2 counts were re-pinned from per_trial_successes and layout 3 kept
+# them; at p = 0 the layout-3 counts were, and layout 4 kept them; at p > 0
+# the layout-4 counts were re-pinned from estimate().  Layout 5 draws from
+# another generator, so every layout-5 count was re-pinned from estimate(),
+# and each equals per_trial_successes.  Each lies within 4 sigma of its exact
+# value, or of the layout-4 count where none is known (see
+# test_pinned_counts_lie_near_their_references).  Only the layout-5 counts
+# are drawn; the others are kept as history.
 PINNED_COUNTS = [
-    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897, 180897, 181683),
-    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266, 1266, 1321),
-    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320, 3320, 3304),
-    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700, 3688, 3688),
-    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330, 1262, 1262),
-    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582, 3582, 3533),
-    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636, 2636, 2697),
-    (7, 0.0, 7, 5_000, 8, "best", 0, 0, 0, 0),
-    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067, 2067, 2056),
-    (100, 0.25, 100, 3_000, 10, "best", 20, 20, 20, 26),
-    (100, 0.0, 99, 3_000, 11, "top3", 40, 38, 40, 40),
-    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98, 98, 87),
-    (1000, 0.5, 430, 1_500, 13, "best", 712, 712, 712, 717),
-    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4, 5, 5),
-    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893, 896, 896),
-    (10_000, 0.5, 1, 300, 16, "best", 5, 5, 5, 5),
-    (10_000, 1.0, 4700, 300, 20, "best", 235, 230, 230, 227),
-    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185, 187, 187),
-    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0, 0, 0),
-    (1001, 0.0, 368, 1_500, 30, "best", 523, 557, 569, 569),
-    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902, 893, 893),
-    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156, 1156, 1172),
-    (1002, 0.0, 368, 1_500, 33, "best", 574, 546, 540, 540),
-    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934, 880, 880),
-    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129, 1129, 1180),
-    (1003, 0.0, 368, 1_500, 36, "best", 548, 555, 521, 521),
-    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903, 919, 919),
-    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163, 1163, 1141),
+    (4, 0.25, 1, 400_000, 3, "best", 180897, 180897, 180897, 181683, 180634),
+    (4, 0.5, 4, 5_000, 4, "best", 1266, 1266, 1266, 1321, 1247),
+    (4, 1.0, 4, 5_000, 18, "best", 3220, 3320, 3320, 3304, 3341),
+    (4, 0.0, 0, 5_000, 5, "top3", 3736, 3700, 3688, 3688, 3728),
+    (4, 0.0, 3, 5_000, 6, "top3", 1220, 1330, 1262, 1262, 1228),
+    (7, 1.0, 1, 5_000, 7, "best", 3589, 3582, 3582, 3533, 3597),
+    (7, 1.0, 7, 5_000, 19, "best", 2651, 2636, 2636, 2697, 2650),
+    (7, 0.0, 7, 5_000, 8, "best", 0, 0, 0, 0, 0),
+    (100, 0.5, 1, 15_000, 9, "best", 2067, 2067, 2067, 2056, 2122),
+    (100, 0.25, 100, 3_000, 10, "best", 20, 20, 20, 26, 19),
+    (100, 0.0, 99, 3_000, 11, "top3", 40, 38, 40, 40, 31),
+    (1000, 1.0, 1000, 1_500, 12, "best", 67, 98, 98, 87, 68),
+    (1000, 0.5, 430, 1_500, 13, "best", 712, 712, 712, 717, 693),
+    (1000, 0.0, 0, 1_500, 14, "top3", 3, 4, 5, 5, 3),
+    (1000, 0.0, 260, 1_500, 15, "top3", 890, 893, 896, 896, 909),
+    (10_000, 0.5, 1, 300, 16, "best", 5, 5, 5, 5, 7),
+    (10_000, 1.0, 4700, 300, 20, "best", 235, 230, 230, 227, 222),
+    (10_000, 0.0, 2600, 300, 17, "top3", 163, 185, 187, 187, 179),
+    (10_000, 0.0, 9_999, 300, 2**128 - 1, "top3", 0, 0, 0, 0, 0),
+    (1001, 0.0, 368, 1_500, 30, "best", 523, 557, 569, 569, 589),
+    (1001, 0.0, 260, 1_500, 31, "top3", 906, 902, 893, 893, 896),
+    (1001, 1.0, 470, 1_500, 32, "best", 1125, 1156, 1156, 1172, 1155),
+    (1002, 0.0, 368, 1_500, 33, "best", 574, 546, 540, 540, 546),
+    (1002, 0.0, 260, 1_500, 34, "top3", 906, 934, 880, 880, 890),
+    (1002, 1.0, 470, 1_500, 35, "best", 1179, 1129, 1129, 1180, 1134),
+    (1003, 0.0, 368, 1_500, 36, "best", 548, 555, 521, 521, 541),
+    (1003, 0.0, 260, 1_500, 37, "top3", 910, 903, 919, 919, 866),
+    (1003, 1.0, 470, 1_500, 38, "best", 1172, 1163, 1163, 1141, 1164),
 ]
 PINNED_ROWS = [pytest.param(*row, id="-".join(map(str, row[:7]))) for row in PINNED_COUNTS]
 
 
-PINNED_COLUMNS = "n,p,k,trials,seed,objective,layout_1,layout_2,layout_3,successes"
+PINNED_COLUMNS = "n,p,k,trials,seed,objective,layout_1,layout_2,layout_3,layout_4,successes"
 
 
 @pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
 def test_estimate_matches_pinned_counts(
-    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
+    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, layout_4, successes
 ):
     report = estimate(n=n, p=p, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == successes
     if p == 0.0:  # a p = 0 block is the same under layouts 3 and 4
-        assert layout_3 == successes
+        assert layout_3 == layout_4
 
 
-@pytest.mark.parametrize(PINNED_COLUMNS, [row for row in PINNED_ROWS if row.values[1] > 0])
+@pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
 def test_pinned_counts_lie_near_their_references(
-    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
+    n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, layout_4, successes
 ):
-    # the exact value where one is known, else the layout-3 count, an
-    # independent estimate of the same value
-    if n <= 4 or p == 1.0:
-        exact = (float(exact_reappearance(n, Fraction(p), k).probability) if n <= 4
-                 else float(build_tables(ProblemSpec(n=n, p=1.0)).f[k]))
-        reference, var = trials * exact, trials * exact * (1 - exact)
+    # the exact value where one is known (the tables are exact at p in
+    # {0, 1}), else the layout-4 count, an independent estimate of the same value
+    if objective == "top3":
+        exact = float(top3_table(n).prob[k])
+    elif p in (0.0, 1.0):
+        exact = float(build_tables(ProblemSpec(n=n, p=p)).f[k])
+    elif n <= 4:
+        exact = float(exact_reappearance(n, Fraction(p), k).probability)
     else:
-        q = (layout_3 + successes) / (2 * trials)
-        reference, var = layout_3, 2 * trials * q * (1 - q)
+        exact = None
+    if exact is None:
+        q = (layout_4 + successes) / (2 * trials)
+        reference, var = layout_4, 2 * trials * q * (1 - q)
+    else:
+        reference, var = trials * exact, trials * exact * (1 - exact)
     assert abs(successes - reference) <= 4 * np.sqrt(var)
 
 
 @pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
 def test_pinned_counts_independent_of_worker_count(
-    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, successes
+    monkeypatch, n, p, k, trials, seed, objective, layout_1, layout_2, layout_3, layout_4, successes
 ):
     # a budget of at most a quarter of the trials spreads every row over
     # several chunks, whatever the number of threads
@@ -623,31 +628,33 @@ def test_ranged_draw_is_bit_identical_to_trial_streams(n):
     # a block holds only the ranges the kernel reads, so one draw of whole
     # blocks is the ranged draw; each row must be what generate_sequence and
     # run_policy_reappearance read from that trial's stream, wherever the
-    # chunk starts and however the n, 3n or 4n block pads to the Philox step grid;
-    # a numpy integer start must give the stream its Python int gives, though
-    # its counter is past int64
+    # chunk starts, for n, 3n and 4n blocks; a numpy integer start must give
+    # the stream its Python int gives, though its offset is past int64
     seed = 29
     for p, ranges in ((0.0, 1), (1.0, 3), (0.5, 4)):
         width = simulator._block_width(n, p)
-        assert width == -(-ranges * n // 4) * 4
+        assert width == ranges * n
         for first, rows in ((0, 2), (5, 3), (1, 1), (np.int64(2**62), 2)):
             block = trial_stream(seed, first, n, p).random((rows, width))
             for row in range(rows):
                 gen = trial_stream(seed, int(first) + row, n, p)
                 read = np.concatenate([gen.random(n) for _ in range(ranges)])  # n at a time
-                assert block[row, :ranges * n].tobytes() == read.tobytes()
+                assert block[row].tobytes() == read.tobytes()
 
 
 @pytest.mark.parametrize("n,p", [(5, 0.0), (5, 0.5), (5, 1.0), (4, 0.5)])
-def test_trial_stream_index_stops_at_the_philox_counter(n, p):
-    # the last index's block ends at the counter's end, so it shares no
-    # uniform with trial 0's; the next index's block would wrap onto it
-    width = simulator._block_width(n, p)
-    step = width // 4  # 2, 5, 4 and 4 counter steps, 2**256 // 5 rounds down
-    last = 2**256 // step - 1
-    assert (last + 1) * step <= 2**256 < (last + 2) * step
-    tail = trial_stream(0, last, n, p).random(width)
-    assert not np.isin(tail, trial_stream(0, 0, n, p).random(width)).any()
+def test_trial_stream_index_stops_at_the_generator_period(n, p):
+    # the last index's block ends by the end of the 2**128-output period, so
+    # it shares no uniform with trial 0's; the next index's block would wrap
+    # onto it, as advance wraps silently
+    width = simulator._block_width(n, p)  # 5, 20, 15 and 16; 2**128 // 5 rounds down
+    last = 2**128 // width - 1
+    assert (last + 1) * width <= 2**128 < (last + 2) * width
+    tail = trial_stream(0, last, n, p).random(2 * width)
+    head = trial_stream(0, 0, n, p).random(width)
+    assert not np.isin(tail[:width], head).any()
+    if 2**128 % width == 0:  # the last block ends at the period, and trial 0's follows
+        assert tail[width:].tobytes() == head.tobytes()
     with pytest.raises(DomainError, match=f"index={last + 1} outside 0..{last}"):
         trial_stream(0, last + 1, n, p)
     with pytest.raises(DomainError, match=f"outside 0..{last}"):
@@ -667,7 +674,7 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
             return block
 
     width = simulator._block_width(n, p)
-    assert width == -(-{0.0: 1, 1.0: 3}.get(p, 4) * n // 4) * 4
+    assert width == {0.0: 1, 1.0: 3}.get(p, 4) * n
     monkeypatch.setattr(simulator.np.random, "Generator", CountingGenerator)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 trials per thread
@@ -680,7 +687,7 @@ def test_small_n_draws_one_block_per_chunk(monkeypatch, n, p, objective):
 @pytest.mark.parametrize("objective,k", [("best", 2), ("top3", 1)])
 def test_p0_chunks_draw_rank_keys_alone_and_never_sort(monkeypatch, n, objective, k):
     # at p = 0 candidate c arrives c-th, so a chunk draws n rank keys a trial
-    # (padded to the Philox step grid) and reads them as its event keys
+    # and reads them as its event keys
     trials, seed = 12, 41
     expected = per_trial_successes(n, 0.0, k, trials, seed, objective)
     shapes = []
@@ -701,15 +708,15 @@ def test_p0_chunks_draw_rank_keys_alone_and_never_sort(monkeypatch, n, objective
     monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 4 * width)  # 2 trials per thread
     report = estimate(n=n, p=0.0, k=k, trials=trials, seed=seed, objective=objective)
     assert report.successes == expected
-    assert shapes == [(2, width)] * 6 and width == -(-n // 4) * 4
+    assert shapes == [(2, width)] * 6 and width == n
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
-def test_estimate_rejects_seed_outside_philox_keys(monkeypatch, seed):
+def test_estimate_rejects_seed_outside_its_range(monkeypatch, seed):
     def refuse(*args, **kwargs):
         raise AssertionError("drew uniforms for an invalid seed")
 
-    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    monkeypatch.setattr(simulator.np.random, "PCG64DXSM", refuse)
     with pytest.raises(DomainError, match="seed"):
         estimate(n=10, p=0.0, k=3, trials=10, seed=seed)
 
@@ -718,7 +725,7 @@ def test_estimate_refuses_oversized_trial_before_drawing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("drew uniforms for an oversized trial")
 
-    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    monkeypatch.setattr(simulator.np.random, "PCG64DXSM", refuse)
     # for numpy integers, n * 67 bytes wraps around int64 or its GiB figure
     # comes out of int64 arithmetic, unless n is made a Python int first
     for n, needle in ((10**9, "n=1000000000"),
@@ -887,7 +894,7 @@ def test_estimate_refuses_bool_and_non_integral_arguments(monkeypatch, argument,
 
     expected = estimate(n=np.int64(10), p=0.5, k=np.int64(3), trials=np.int64(10), seed=0)
     assert expected == estimate(n=10, p=0.5, k=3, trials=10, seed=0)
-    monkeypatch.setattr(simulator.np.random, "Philox", refuse)
+    monkeypatch.setattr(simulator.np.random, "PCG64DXSM", refuse)
     with pytest.raises(error, match=argument):
         estimate(**{"n": 10, "p": 0.5, "k": 3, "trials": 10, "seed": 0, argument: value})
 
@@ -935,9 +942,8 @@ def dense_best_chunk_successes(block, n, p, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 30, 100, 101, 1000])
 def test_record_kernel_matches_dense_reference(n):
-    # the kernel reads only the records, in flat arrays; at p = 1 the block is
-    # padded past 3n for n not a multiple of 4, and single rows and k = n are
-    # the edges of its row bookkeeping
+    # the kernel reads only the records, in flat arrays, in rows of 3n or 4n
+    # uniforms; single rows and k = n are the edges of its row bookkeeping
     draws = 0
     for p in (5e-324, 1e-9, 0.001, 0.25, 0.5, 0.999, 1 - 2**-53, 1.0):
         width = simulator._block_width(n, p)
