@@ -57,10 +57,10 @@ trials are independent, so any execution order gives the same report.
 
 Chunks run on a thread pool, one worker per CPU the process may use.  Each
 chunk opens its own generator at its first trial's block, draws its
-trials' blocks in one call into its lane's buffer and returns its success
-count, and the report adds the counts, so it does not depend on the number
-of threads or the order in which chunks finish.  The pool is started by the
-first call that needs it and kept for later calls.
+trials' blocks in one call into a buffer its thread keeps and returns its
+success count, and the report adds the counts, so it does not depend on
+the number of threads or the order in which chunks finish.  The pool is
+started by the first call that needs it and kept for later calls.
 
 Vectorised kernel
 -----------------
@@ -121,9 +121,10 @@ _SEEDS = (0, 2**128 - 1)  # the seeds estimate and trial_stream accept
 # Uniforms of all chunks of a call in flight (2.7 MiB): each of the t threads
 # runs chunks of at most 1/t of it, counting the _block_width(n, p) uniforms
 # each trial draws.  The budget covers the blocks only; the kernel's arrays
-# add at most as much again.  All chunks in flight peak together at 2.8-4.8
+# add at most as much again.  All chunks in flight peak together at 3.0-6.4
 # MiB at n = 4 and 100, p = 0.5, at n = 1000, p = 1 and for top-3 at n = 1000
-# and 10000, on one thread and on two alike (tracemalloc).  At 2**21 / 6, two
+# and 10000, on one thread and on two alike (tracemalloc), and the threads
+# keep 2.7-5.4 MiB of it for later calls (see _kept).  At 2**21 / 6, two
 # threads run top-3 chunks of 174 trials at n = 1000 and 17 at n = 10000, the
 # sizes those runs were tuned at.  The threads are set by n alone (see
 # _schedule), so a trial wider than its thread's share runs in a chunk of its
@@ -149,9 +150,33 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # from one run to the next (2-vCPU VM).  With the same workers every call
 # it read 65.2-67.2 MiB over 8 runs.  The cost: a kept worker's arena may
 # hand a finished chunk's pages back and fault them in again for the next
-# one, so each lane draws all its chunks into one buffer (see _run_chunks).
+# one, so each thread keeps its chunks' large arrays (see _kept).
 _pool = None
 _pool_lock = threading.Lock()
+_kept_arrays = threading.local()
+
+
+def _kept(name: str, size: int, dtype=np.float64, limit: int | None = None) -> np.ndarray:
+    """The first ``size`` entries of this thread's array ``name``, kept for later chunks and calls.
+
+    Made afresh per chunk or per call, the large arrays were handed back
+    by the allocator and faulted in again: about 5000 minor faults per
+    in-process mc-small-n pass with the block buffer made per call, 17k
+    with it kept and the kernel's arrays made per chunk, 8000 with both
+    kept at exactly the size asked for, and none with both grown to 5/4 of
+    it, as here.  No array is kept past ``limit`` entries
+    (``_CHUNK_DOUBLES`` by default); a larger one is made afresh for the
+    caller alone.
+    """
+    limit = _CHUNK_DOUBLES if limit is None else limit
+    if size > limit:
+        return np.empty(size, dtype)
+    buf = getattr(_kept_arrays, name, None)
+    if buf is not None and buf.size >= size:
+        return buf[:size]
+    buf = np.empty(min(size + size // 4, limit), dtype)
+    setattr(_kept_arrays, name, buf)
+    return buf[:size]
 
 
 def _block_width(n: int, p: float) -> int:
@@ -261,18 +286,19 @@ def generate_sequence(n: int, p: float, rng: np.random.Generator) -> ArrivalSequ
         for _, kind, c in tokens), n=n)
 
 
-def _returns(u: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+def _returns(u: np.ndarray, v: np.ndarray, p: float, out=None) -> np.ndarray:
     """G(b) of candidates with sorted arrival keys u = G(a) and return keys v, at p > 0.
 
     G(b) = u + v(2 - v)((1+p)^2/(4p) - u), below 1 iff the candidate
     returns.  G is increasing, so these and the keys order the tokens as
-    their times do, and no time is computed.
+    their times do, and no time is computed.  Given ``out``, writes G(b)
+    there and overwrites v.
     """
     # (1+p)^2/(4p) is inf at p = 5e-324, and 0 * inf is NaN; past 2**60 any
     # return key above 0 puts G(b) past 1 either way
-    g = np.subtract(min((1.0 + p) ** 2 / (4.0 * p), 2.0**60), u)
+    g = np.subtract(min((1.0 + p) ** 2 / (4.0 * p), 2.0**60), u, out=out)
     g *= v
-    g *= np.subtract(2.0, v)
+    g *= np.subtract(2.0, v, out=None if out is None else v)
     g += u
     return g
 
@@ -414,10 +440,12 @@ def _chunks(trials: int, chunks: int, start: int, step: int):
 def _run_chunks(run, trials: int, width: int, threads: int, chunks: int) -> int:
     """Sum of ``run(first, block)`` over the chunks, on ``threads`` pool workers.
 
-    ``block`` is the chunk's (rows, width) view of its lane's buffer, for
-    ``run`` to fill.  Worker j runs chunks j, j + threads, ... one after
-    another, so at most ``threads`` chunks are in flight; a lone lane runs in
-    the caller's thread, several on pool workers while the caller waits.
+    ``block`` is the chunk's (rows, width) view of a buffer for ``run`` to
+    fill; a lane's thread keeps it for later calls when it fits the thread's
+    share of ``_CHUNK_DOUBLES``, and a lone trial wider than that gets a
+    fresh one.  Worker j runs chunks j, j + threads, ... one after another,
+    so at most ``threads`` chunks are in flight; a lone lane runs in the
+    caller's thread, several on pool workers while the caller waits.
     After an error or interrupt no further chunk starts, and the call returns
     once the running ones end.
     """
@@ -430,7 +458,8 @@ def _run_chunks(run, trials: int, width: int, threads: int, chunks: int) -> int:
                 if stop.is_set():
                     break
                 if buf is None:  # a lane's first chunk is its largest
-                    buf = np.empty((rows, width))
+                    buf = _kept("block", rows * width, limit=_CHUNK_DOUBLES // threads)
+                    buf = buf.reshape(rows, width)
                 successes += run(first, buf[:rows])
         except BaseException:
             stop.set()
@@ -505,36 +534,44 @@ def _best_chunk_successes(block: np.ndarray, n: int, p: float, k: int) -> int:
     its coin accepts; the trial succeeds iff only the last record is hired.
     After the two row passes (the sort and the prefix minimum) the kernel
     reads the records alone, about H_n a trial, listed row by row in
-    arrival order in flat arrays.
+    arrival order in flat arrays, most of them kept by the thread (see
+    _kept).  Sorts the arrival keys in place.
     """
+    rows, width = block.shape
     x = block[:, :n]
-    rec = np.flatnonzero(x == np.minimum.accumulate(x, axis=1))  # position 0 is in every row
-    row = rec // n
+    prefix_min = _kept("prefix_min", x.size).reshape(x.shape)
+    np.minimum.accumulate(x, axis=1, out=prefix_min)
+    rec = np.flatnonzero(x == prefix_min)  # position 0 is in every row
+    row = np.floor_divide(rec, n, out=_kept("row", rec.size, np.int64))
     last = np.empty(rec.size, dtype=bool)  # each row's last record, its best candidate
     np.not_equal(row[1:], row[:-1], out=last[:-1])
     last[-1] = True
-    u = np.sort(block[:, n:2 * n], axis=1)
-    at = u.take(rec)  # G(a) of each record
-    # a return is in the selection phase iff it is at or after a_(k-1), as any at j >= k is
-    bar = u[:, k - 1].take(row)
-    del u
+    u = block[:, n:2 * n]
+    u.sort(axis=1)  # nothing else reads the arrival keys
+    # take buffers its output unless told to clip; no index here is out of range.
+    # A return is in the selection phase iff it is at or after a_(k-1), as any at j >= k is
+    bar = u[:, k - 1].take(row, out=_kept("bar", rec.size), mode="clip")
     late = rec - row * n >= k  # arrives in the selection phase
-    # flat offset of each record's return key, in rows of 3n or 4n uniforms
+    # flat offset of each record's arrival key, then of its return key and its coin,
+    # in rows of 3n or 4n uniforms
     key = rec
-    key += row * (block.shape[1] - n)
-    key += 2 * n
+    key += row * (width - n)
+    key += n
     flat = block.reshape(-1)
-    g = _returns(at, flat.take(key), p)
+    at = flat.take(key, out=_kept("at", rec.size), mode="clip")  # G(a) of each record
+    key += n
+    g = _returns(at, flat.take(key, out=_kept("v", rec.size), mode="clip"), p,
+                 out=_kept("g", rec.size))
     hired = g >= bar
     at[:-1] = at[1:]  # G(a) of the row's next record, 1 at its last
     at[last] = 1.0
     hired &= g < at
     if p < 1.0:  # at p = 1 no coin is below 1 - p
         key += n
-        coin = flat.take(key) < 1.0 - p
+        coin = flat.take(key, out=_kept("v", rec.size), mode="clip") < 1.0 - p
         coin &= late
         hired |= coin
     # a trial fails iff one of its records has hired != last
     hired ^= last
     wrong = row[hired]  # the rows of those records, in order
-    return block.shape[0] - (wrong.size > 0) - int(np.count_nonzero(wrong[1:] != wrong[:-1]))
+    return rows - (wrong.size > 0) - int(np.count_nonzero(wrong[1:] != wrong[:-1]))

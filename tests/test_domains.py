@@ -108,7 +108,9 @@ def test_refused_draw_trips_on_valid_arguments(monkeypatch):
         raise AssertionError("drew uniforms")
 
     monkeypatch.setattr(np.random, "PCG64DXSM", refuse)
-    for entry, call, valid, _ in ENTRY_POINTS:
-        if entry in ("estimate", "estimate-top3", "trial_stream"):
-            with pytest.raises(AssertionError, match="drew uniforms"):
-                call(**valid)
+    drawing = [(call, valid) for entry, call, valid, _ in ENTRY_POINTS
+               if entry in ("estimate", "estimate-top3", "trial_stream")]
+    assert len(drawing) == 3
+    for call, valid in drawing:
+        with pytest.raises(AssertionError, match="drew uniforms"):
+            call(**valid)

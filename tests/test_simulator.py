@@ -323,13 +323,10 @@ def test_pinned_counts_lie_near_their_references(
     elif n <= 4:
         exact = float(exact_reappearance(n, Fraction(p), k).probability)
     else:
-        exact = None
-    if exact is None:
         q = (layout_4 + successes) / (2 * trials)
-        reference, var = layout_4, 2 * trials * q * (1 - q)
-    else:
-        reference, var = trials * exact, trials * exact * (1 - exact)
-    assert abs(successes - reference) <= 4 * np.sqrt(var)
+        assert abs(successes - layout_4) <= 4 * np.sqrt(2 * trials * q * (1 - q))
+        return
+    assert abs(successes - trials * exact) <= 4 * np.sqrt(trials * exact * (1 - exact))
 
 
 @pytest.mark.parametrize(PINNED_COLUMNS, PINNED_ROWS)
@@ -418,7 +415,8 @@ def test_threaded_calls_share_the_pool_workers(monkeypatch):
 
 def test_each_lane_draws_its_chunks_into_one_buffer(monkeypatch):
     # a kept worker's arena could hand a freed block's pages back and fault
-    # them in again for the next chunk, so a lane keeps one buffer per call
+    # them in again for the next chunk or call, so each thread keeps one
+    # buffer and draws every chunk into it
     n, width = 30, simulator._block_width(30, 0.4)
     expected = estimate(n=n, p=0.4, k=12, trials=2000, seed=11)
     monkeypatch.setattr(simulator, "_WORKERS", 2)
@@ -427,13 +425,36 @@ def test_each_lane_draws_its_chunks_into_one_buffer(monkeypatch):
     bases = []
 
     def recording(block, n, p, k):
+        bases.append((threading.current_thread(), block.base))
+        return kernel(block, n, p, k)
+
+    monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
+    for _ in range(2):
+        assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
+    assert len(bases) == 40  # 20 chunks on two lanes, twice
+    kept = {thread: base for thread, base in bases}
+    assert all(base is kept[thread] for thread, base in bases)
+
+
+def test_trial_wider_than_a_share_gets_a_fresh_buffer(monkeypatch):
+    # a lane keeps no buffer past its thread's share of the budget
+    n, width = 30, simulator._block_width(30, 0.4)
+    expected = estimate(n=n, p=0.4, k=12, trials=10, seed=11)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", width)  # a share is half a trial
+    kernel = simulator._best_chunk_successes
+    bases = []
+
+    def recording(block, n, p, k):
+        assert block.shape == (1, width)
         bases.append(block.base)
         return kernel(block, n, p, k)
 
     monkeypatch.setattr(simulator, "_best_chunk_successes", recording)
-    assert estimate(n=n, p=0.4, k=12, trials=2000, seed=11) == expected
-    assert all(isinstance(base, np.ndarray) for base in bases)
-    assert sorted(Counter(map(id, bases)).values()) == [10, 10]  # 20 chunks on two lanes
+    for _ in range(2):
+        assert estimate(n=n, p=0.4, k=12, trials=10, seed=11) == expected
+    # one buffer per lane and call, each held here, so no two share an id
+    assert len(bases) == 20 and len({id(base) for base in bases}) == 4
 
 
 def test_chunk_error_stops_every_lane_and_keeps_the_pool(monkeypatch):
